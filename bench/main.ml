@@ -8,10 +8,11 @@
    of that phase's task trace.
 
    Subcommands: table1 table2 figure2 figure3 table3 correctness ablations
-   micro contention finalize robustness recovery trace pipeline serve all
+   micro contention finalize robustness recovery trace serve all
    (default: all); plus microsmoke, a seconds-long self-checking slice of
-   the contention, finalize, robustness, recovery, trace, pipeline and
-   serve reports wired into `dune runtest`. *)
+   the contention, finalize, robustness, recovery, trace and serve
+   reports wired into `dune runtest`. Any other word is rejected with a
+   usage line and exit status 2. *)
 
 module Profile = Pbca_codegen.Profile
 module Emit = Pbca_codegen.Emit
@@ -1750,262 +1751,6 @@ let csr_bench () =
   print_endline "wrote BENCH_pr6.json"
 
 (* ---------------------------------------------------------------- *)
-(* `bench pipeline` (PR7): streaming pipeline vs phase barriers.
-   Both hpcstruct drivers run for real (best-of-reps) and their output
-   is asserted byte-identical; BinFeat's streamed index is asserted
-   equal to the barrier one. The scaling claim is simulated (this
-   container has one core): a pipelined-DAG model is built from the
-   barrier run's measured per-task costs and replayed at [threads] and
-   128-512 simulated threads — the gate is the barrier/streamed
-   makespan ratio at [threads] and the serial-fraction drop at the
-   high counts (where the Amdahl ceiling moves). A regression gate
-   re-times the plain parse_and_finalize against the PR6 end-to-end
-   baseline: the multi-region pool refactor must not have slowed the
-   core pipeline. Writes BENCH_pr7.json unless ~smoke.               *)
-
-(* BENCH_pr6.json wall_s on this reference machine (ms). The tolerance
-   applied at check time is x3.0: single-run walls on this shared
-   container scatter ~2x (re-timing the PR6 bench itself reproduces its
-   recorded numbers only to within 0.5-2x), so a tighter bound gates on
-   scheduler luck, not regressions. *)
-let pr6_wall_baseline_ms =
-  [ ("coreutils_001", 7.42129); ("coreutils_002", 2.90425) ]
-
-let pipeline_report ~smoke () =
-  let module Pipe = Pbca_simsched.Pipeline in
-  let reps = if smoke then 1 else 3 in
-  let threads = if smoke then 2 else 4 in
-  let sim_threads = [ threads; 128; 256; 512 ] in
-  let subjects =
-    if smoke then [ { Profile.default with Profile.n_funcs = 25; seed = 11 } ]
-    else [ Profile.coreutils_like 1; Profile.coreutils_like 2 ]
-  in
-  let per_subject p =
-    let r = Emit.generate p in
-    let img = r.Emit.image in
-    let pool = TP.create ~threads in
-    let best_of run =
-      ignore (run ());
-      (* warm-up: decode cache *)
-      let first = run () in
-      let best = ref first in
-      for _ = 2 to reps do
-        let c = run () in
-        if H.total_wall c < H.total_wall !best then best := c
-      done;
-      !best
-    in
-    let barrier = best_of (fun () -> H.run_image ~pool img) in
-    let streamed = best_of (fun () -> H.run_image_streamed ~pool img) in
-    let xml_equal = String.equal barrier.H.output streamed.H.output in
-    let graph_equal = graphs_equal barrier.H.cfg streamed.H.cfg in
-    (* PR6 regression gate: the core parse+finalize, no streaming.
-       Timed before the feature-extraction runs below churn the heap;
-       one warm-up plus best-of-5 because this container's walls move
-       ~2x run to run (re-timing PR6's own bench here lands anywhere in
-       0.5-2x of its recorded numbers). *)
-    let pf_wall =
-      let pf_reps = if smoke then 2 else 5 in
-      ignore (Pbca_core.Parallel.parse_and_finalize ~pool img);
-      let best = ref infinity in
-      for _ = 1 to pf_reps do
-        let t0 = Pbca_obs.Clock.now () in
-        ignore (Pbca_core.Parallel.parse_and_finalize ~pool img);
-        best := Float.min !best (Pbca_obs.Clock.elapsed t0)
-      done;
-      !best
-    in
-    let feat_alist (b : B.result) =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) b.B.index []
-      |> List.sort compare
-    in
-    let bf_barrier = B.extract ~pool [ img ] in
-    let bf_streamed = B.extract_streamed ~pool [ img ] in
-    let feat_equal = feat_alist bf_barrier = feat_alist bf_streamed in
-    (* pipelined-DAG model from the barrier run's recorded traces: the
-       cfg component keeps its real task DAG (quiescence rounds, wake-up
-       deps and the per-function bounds epoch) so the barrier model pays
-       the rounds' stalls it really pays, and the streamed model gates
-       each fill on its own function's bounds task — the readiness
-       protocol *)
-    let phase_work name =
-      List.fold_left
-        (fun acc (ph : H.phase) ->
-          if ph.ph_name = name then acc + ph.ph_work else acc)
-        0 barrier.H.phases
-    in
-    let trace_tasks name =
-      match phase_trace barrier name with
-      | Some tr -> Trace.tasks tr
-      | None -> []
-    in
-    let fill_costs =
-      match phase_trace barrier "fill" with
-      | Some tr -> Pipe.costs_of (Trace.tasks tr) "fill"
-      | None -> [||]
-    in
-    let linemap_task =
-      {
-        Trace.id = 0;
-        label = "linemap";
-        cost = max 1 (phase_work "linemap");
-        deps = [];
-        epoch = 0;
-      }
-    in
-    let staged =
-      {
-        Pipe.tg_pre =
-          [ ("dwarf", trace_tasks "dwarf"); ("linemap", [ linemap_task ]) ];
-        tg_produce = trace_tasks "cfg";
-        tg_publish_label = Some "bounds";
-        tg_consume = fill_costs;
-        tg_tail = max 1 (phase_work "emit");
-      }
-    in
-    let points = Pipe.staged_scan ~threads:sim_threads staged in
-    let at n =
-      List.find (fun (pt : Pipe.point) -> pt.Pipe.pt_threads = n) points
-    in
-    let st = streamed.H.cfg.Pbca_core.Cfg.stats in
-    let baseline = List.assoc_opt p.Profile.name pr6_wall_baseline_ms in
-    ( J_obj
-        ([
-           ("subject", J_str p.Profile.name);
-           ("seed", J_int p.Profile.seed);
-           ("threads", J_int threads);
-           ("barrier_wall_s", J_float (H.total_wall barrier));
-           ("streamed_wall_s", J_float (H.total_wall streamed));
-           ("xml_identical", J_bool xml_equal);
-           ("graphs_equal", J_bool graph_equal);
-           ("features_identical", J_bool feat_equal);
-           ("n_funcs", J_int barrier.H.n_funcs);
-           ( "stream_published",
-             J_int (Atomic.get st.Pbca_core.Cfg.stream_published) );
-           ( "stream_channel_hwm",
-             J_int (Atomic.get st.Pbca_core.Cfg.stream_hwm) );
-           ( "stream_consumer_idle_ms",
-             J_float
-               (float_of_int
-                  (Atomic.get st.Pbca_core.Cfg.stream_consumer_idle_us)
-               /. 1e3) );
-           ( "stream_producer_block_ms",
-             J_float
-               (float_of_int
-                  (Atomic.get st.Pbca_core.Cfg.stream_producer_block_us)
-               /. 1e3) );
-           ( "sim_pipeline_speedup",
-             J_float (at threads).Pipe.pt_pipeline_speedup );
-           ("parse_finalize_wall_ms", J_float (1000. *. pf_wall));
-           ( "model",
-             J_arr
-               (List.map
-                  (fun (pt : Pipe.point) ->
-                    J_obj
-                      [
-                        ("threads", J_int pt.Pipe.pt_threads);
-                        ( "barrier_makespan",
-                          J_int pt.Pipe.pt_barrier_makespan );
-                        ( "streamed_makespan",
-                          J_int pt.Pipe.pt_streamed_makespan );
-                        ( "pipeline_speedup",
-                          J_float pt.Pipe.pt_pipeline_speedup );
-                        ( "serial_fraction_barrier",
-                          J_float pt.Pipe.pt_barrier_serial_fraction );
-                        ( "serial_fraction_streamed",
-                          J_float pt.Pipe.pt_streamed_serial_fraction );
-                      ])
-                  points) );
-         ]
-        @
-        match baseline with
-        | Some b ->
-          [
-            ("pr6_wall_baseline_ms", J_float b);
-            ("pr6_regression_limit_ms", J_float (3.0 *. b));
-          ]
-        | None -> []),
-      (at threads, at 512) )
-  in
-  let results = List.map per_subject subjects in
-  J_obj
-    [
-      ("bench", J_str "pr7_streaming_pipeline");
-      ("smoke", J_bool smoke);
-      ("reps", J_int reps);
-      ("threads", J_int threads);
-      ("sim_speedup_target", J_float 1.2);
-      ("subjects", J_arr (List.map fst results));
-    ]
-
-let pipeline_checks ~smoke j =
-  let failures = ref [] in
-  let check name ok = if not ok then failures := name :: !failures in
-  check "json well-formed" (json_well_formed (json_to_string j));
-  (match json_field j [ "subjects" ] with
-  | Some (J_arr subs) ->
-    check "at least one subject benched" (subs <> []);
-    List.iter
-      (fun s ->
-        let name =
-          match json_field s [ "subject" ] with Some (J_str n) -> n | _ -> "?"
-        in
-        let flag path =
-          match json_field s path with Some (J_bool b) -> b | _ -> false
-        in
-        check (name ^ ": streamed XML byte-identical to barrier")
-          (flag [ "xml_identical" ]);
-        check (name ^ ": streamed and barrier graphs Cfg_diff-equal")
-          (flag [ "graphs_equal" ]);
-        check (name ^ ": streamed feature index equals barrier")
-          (flag [ "features_identical" ]);
-        check (name ^ ": every function published exactly once")
-          (json_num s [ "stream_published" ] = json_num s [ "n_funcs" ]);
-        (* the Amdahl ceiling must move: pipelining strictly lowers the
-           back-fitted serial fraction at the high simulated counts *)
-        let model_points =
-          match json_field s [ "model" ] with Some (J_arr l) -> l | _ -> []
-        in
-        List.iter
-          (fun pt ->
-            let t = int_of_float (json_num pt [ "threads" ]) in
-            if t >= 128 then
-              check
-                (Printf.sprintf
-                   "%s: serial fraction drops at %d simulated threads" name t)
-                (json_num pt [ "serial_fraction_streamed" ]
-                < json_num pt [ "serial_fraction_barrier" ]))
-          model_points;
-        if not smoke then begin
-          check
-            (name ^ ": simulated streamed speedup >= 1.2x at 4 threads")
-            (json_num s [ "sim_pipeline_speedup" ] >= 1.2);
-          check
-            (name ^ ": parse+finalize does not regress vs PR6 baseline")
-            (json_num s [ "parse_finalize_wall_ms" ]
-            <= json_num s [ "pr6_regression_limit_ms" ])
-        end)
-      subs
-  | _ -> check "subjects present" false);
-  List.rev !failures
-
-let pipeline_bench () =
-  header "Streaming pipeline vs phase barriers (PR7)";
-  let j = pipeline_report ~smoke:false () in
-  let s = json_to_string j in
-  print_endline s;
-  (match pipeline_checks ~smoke:false j with
-  | [] -> print_endline "all pipeline checks passed"
-  | fs ->
-    List.iter (fun f -> Printf.printf "CHECK FAILED: %s\n" f) fs;
-    exit 1);
-  let oc = open_out "BENCH_pr7.json" in
-  output_string oc s;
-  output_char oc '\n';
-  close_out oc;
-  print_endline "wrote BENCH_pr7.json"
-
-(* ---------------------------------------------------------------- *)
 (* PR8: the bserve daemon. Cold-vs-cached service latency, sustained
    throughput, shed rate under a 2x-capacity burst, and the regression
    gate: parse results served by the daemon must carry the fingerprint
@@ -2361,13 +2106,6 @@ let microsmoke () =
   | fs ->
     List.iter (fun f -> Printf.printf "microsmoke CHECK FAILED: %s\n" f) fs;
     exit 1);
-  let j7 = pipeline_report ~smoke:true () in
-  print_endline (json_to_string j7);
-  (match pipeline_checks ~smoke:true j7 with
-  | [] -> print_endline "microsmoke pipeline: ok"
-  | fs ->
-    List.iter (fun f -> Printf.printf "microsmoke CHECK FAILED: %s\n" f) fs;
-    exit 1);
   let j8 = serve_report ~smoke:true () in
   print_endline (json_to_string j8);
   match serve_checks ~smoke:true j8 with
@@ -2378,8 +2116,20 @@ let microsmoke () =
 
 (* ---------------------------------------------------------------- *)
 
+let subcommands =
+  [ "table1"; "table2"; "figure2"; "figure3"; "table3"; "correctness";
+    "ablations"; "micro"; "contention"; "finalize"; "robustness";
+    "recovery"; "trace"; "serve"; "all"; "microsmoke" ]
+
 let () =
   let cmds = Array.to_list Sys.argv |> List.tl in
+  (match List.filter (fun c -> not (List.mem c subcommands)) cmds with
+  | [] -> ()
+  | unknown ->
+    Printf.eprintf "bench: unknown subcommand %s\nusage: %s [%s]...\n"
+      (String.concat ", " unknown) Sys.argv.(0)
+      (String.concat " | " subcommands);
+    exit 2);
   let cmds = if cmds = [] then [ "all" ] else cmds in
   let want c = List.mem c cmds || List.mem "all" cmds in
   Printf.printf
@@ -2409,7 +2159,6 @@ let () =
   end;
   if want "recovery" then recovery_bench ();
   if want "trace" then trace_bench ();
-  if want "pipeline" then pipeline_bench ();
   if want "serve" then serve_bench ();
   (* microsmoke is runtest plumbing, not part of "all" *)
   if List.mem "microsmoke" cmds then microsmoke ();

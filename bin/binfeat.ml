@@ -2,7 +2,7 @@
 
 open Cmdliner
 
-let run dir threads top simulate stream =
+let run dir threads top simulate =
   let files =
     Sys.readdir dir |> Array.to_list
     |> List.filter (fun f -> Filename.check_suffix f ".sbf")
@@ -13,10 +13,7 @@ let run dir threads top simulate stream =
   else begin
     let images = List.map Pbca_binfmt.Image.load files in
     let pool = Pbca_concurrent.Task_pool.create ~threads in
-    let r =
-      if stream then Pbca_binfeat.Binfeat.extract_streamed ~pool images
-      else Pbca_binfeat.Binfeat.extract ~pool images
-    in
+    let r = Pbca_binfeat.Binfeat.extract ~pool images in
     Printf.printf "%d binaries, %d functions, %d distinct features\n"
       r.n_binaries r.n_funcs r.n_features;
     List.iter
@@ -40,18 +37,9 @@ let top = Arg.(value & opt int 10 & info [ "top" ] ~doc:"Show the N most frequen
 let simulate =
   Arg.(value & flag & info [ "simulate" ] ~doc:"Replay traces at 16/64 threads")
 
-let stream =
-  Arg.(
-    value & flag
-    & info [ "stream" ]
-        ~doc:
-          "Streaming pipeline: extract features per function as the CFG \
-           finalizer publishes it, instead of stage barriers (the index \
-           is identical)")
-
 let cmd =
   Cmd.v
     (Cmd.info "binfeat" ~doc:"Extract forensic features from a corpus")
-    Term.(const run $ dir $ threads $ top $ simulate $ stream)
+    Term.(const run $ dir $ threads $ top $ simulate)
 
 let () = exit (Cmd.eval cmd)

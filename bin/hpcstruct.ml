@@ -2,17 +2,14 @@
 
 open Cmdliner
 
-let run path threads out simulate stream =
+let run path threads out simulate =
   let ic = open_in_bin path in
   let n = in_channel_length ic in
   let bytes = Bytes.create n in
   really_input ic bytes 0 n;
   close_in ic;
   let pool = Pbca_concurrent.Task_pool.create ~threads in
-  let r =
-    if stream then Pbca_hpcstruct.Hpcstruct.run_streamed ~pool bytes
-    else Pbca_hpcstruct.Hpcstruct.run ~pool bytes
-  in
+  let r = Pbca_hpcstruct.Hpcstruct.run ~pool bytes in
   Printf.printf "%-9s %10s %10s" "phase" "wall(s)" "work";
   if simulate then Printf.printf "  %s" "sim-speedup@{1,16,64}";
   print_newline ();
@@ -31,17 +28,6 @@ let run path threads out simulate stream =
   Printf.printf "total %.4fs: %d functions, %d loops, %d statements\n"
     (Pbca_hpcstruct.Hpcstruct.total_wall r)
     r.n_funcs r.n_loops r.n_stmts;
-  (if stream then
-     let s = r.cfg.Pbca_core.Cfg.stats in
-     Printf.printf
-       "stream: published=%d channel_hwm=%d consumer_idle_ms=%.2f \
-        producer_block_ms=%.2f\n"
-       (Atomic.get s.Pbca_core.Cfg.stream_published)
-       (Atomic.get s.Pbca_core.Cfg.stream_hwm)
-       (float_of_int (Atomic.get s.Pbca_core.Cfg.stream_consumer_idle_us)
-       /. 1e3)
-       (float_of_int (Atomic.get s.Pbca_core.Cfg.stream_producer_block_us)
-       /. 1e3));
   match out with
   | Some path ->
     let oc = open_out path in
@@ -59,18 +45,9 @@ let out =
 let simulate =
   Arg.(value & flag & info [ "simulate" ] ~doc:"Replay traces at 1/16/64 threads")
 
-let stream =
-  Arg.(
-    value & flag
-    & info [ "stream" ]
-        ~doc:
-          "Streaming pipeline: overlap debug-info parsing, CFG \
-           construction and skeleton fill instead of running them as \
-           barrier-separated phases (output is byte-identical)")
-
 let cmd =
   Cmd.v
     (Cmd.info "hpcstruct" ~doc:"Recover program structure from a binary")
-    Term.(const run $ path $ threads $ out $ simulate $ stream)
+    Term.(const run $ path $ threads $ out $ simulate)
 
 let () = exit (Cmd.eval cmd)

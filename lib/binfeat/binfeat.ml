@@ -196,115 +196,6 @@ let extract ?(config = Pbca_core.Config.default) ~pool images =
     n_features = Hashtbl.length index;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Streaming extraction (PR7): one overlapped stage instead of the
-   cfg / if / cf / df barriers. The finalize readiness protocol
-   publishes [(g, f)] pairs on a bounded channel as functions settle,
-   and low-priority consumer tasks run all three feature families per
-   function into consumer-local tables (no [worker_index] indexing —
-   under cross-region stealing two domains can share a slot), merged
-   into the index after the channel closes. The resulting index is
-   equal to the barrier path's: feature counting is commutative. *)
-
-module Channel = Pbca_concurrent.Channel
-
-let extract_streamed ?(config = Pbca_core.Config.default)
-    ?(otrace = Pbca_obs.Trace.disabled) ~pool images =
-  let n = Task_pool.threads pool in
-  let trace = Trace.create () in
-  let index = Hashtbl.create 8192 in
-  let n_funcs = Atomic.make 0 in
-  let extract_one g f tbl =
-    let fv = Pbca_analysis.Func_view.make g f in
-    Pbca_obs.Trace.with_span otrace ~phase:"stage" "features" (fun () ->
-        Trace.run trace ~label:"feat" ~deps:[] (fun () ->
-            merge_into tbl (insn_features g trace fv);
-            merge_into tbl (cf_features g trace fv);
-            merge_into tbl (df_features g trace fv)))
-  in
-  let (), wall =
-    time (fun () ->
-        if n = 1 then
-          (* sequential streaming: the calling domain extracts each
-             function synchronously at publication — still no barrier
-             between finalization and feature extraction *)
-          List.iter
-            (fun image ->
-              let g =
-                Pbca_core.Parallel.parse ~config ~trace ~otrace ~pool image
-              in
-              Pbca_core.Finalize.run ~pool g ~on_ready:(fun f ->
-                  Atomic.incr n_funcs;
-                  extract_one g f index))
-            images
-        else begin
-          let ch = Channel.create ~otrace ~name:"feat" ~capacity:64 () in
-          let partials = Atomic.make [] in
-          let rec push_partial tbl =
-            let cur = Atomic.get partials in
-            if not (Atomic.compare_and_set partials cur (tbl :: cur)) then
-              push_partial tbl
-          in
-          let consumers_h =
-            Task_pool.submit ~priority:(-1) pool (fun spawn ->
-                for _ = 1 to max 1 (n - 1) do
-                  spawn (fun () ->
-                      let tbl = Hashtbl.create 1024 in
-                      let rec loop () =
-                        match Channel.recv ch with
-                        | Some (g, f) ->
-                          extract_one g f tbl;
-                          loop ()
-                        | None -> push_partial tbl
-                      in
-                      loop ())
-                done)
-          in
-          let cfgs =
-            List.map
-              (fun image ->
-                let g =
-                  Pbca_core.Parallel.parse ~config ~trace ~otrace ~pool image
-                in
-                Pbca_core.Finalize.run ~pool g ~on_ready:(fun f ->
-                    Atomic.incr n_funcs;
-                    Channel.send ch (g, f));
-                g)
-              images
-          in
-          Channel.close ch;
-          Task_pool.await consumers_h;
-          List.iter (fun tbl -> merge_into index tbl) (Atomic.get partials);
-          (* the channel is shared across the corpus: each graph's stats
-             carry the same stream occupancy numbers *)
-          List.iter
-            (fun g ->
-              let s = g.Cfg.stats in
-              Atomic.set s.Cfg.stream_hwm (Channel.high_water ch);
-              Atomic.set s.Cfg.stream_consumer_idle_us
-                (int_of_float (Channel.consumer_idle_wall ch *. 1e6));
-              Atomic.set s.Cfg.stream_producer_block_us
-                (int_of_float (Channel.producer_block_wall ch *. 1e6)))
-            cfgs
-        end;
-        Pbca_obs.Trace.drain otrace)
-  in
-  {
-    stages =
-      [
-        {
-          st_name = "stream";
-          st_wall = wall;
-          st_trace = trace;
-          st_work = Trace.total_work trace;
-        };
-      ];
-    index;
-    n_binaries = List.length images;
-    n_funcs = Atomic.get n_funcs;
-    n_features = Hashtbl.length index;
-  }
-
 let stage_wall r name =
   List.fold_left
     (fun acc s -> if s.st_name = name then acc +. s.st_wall else acc)

@@ -11,10 +11,11 @@
       (the costliest stage, dominated by large functions — the load
       imbalance discussed in Section 8.3).
 
-    The pipeline runs in the paper's four stages — CFG construction over
-    the whole corpus, then IF, CF, DF extraction over all functions sorted
-    large-first (Listing 7) — each stage timed and traced. The global
-    feature index is a parallel reduction over per-worker partial counts. *)
+    Extraction runs in the paper's four barrier-separated stages — CFG
+    construction over the whole corpus, then IF, CF, DF extraction over
+    all functions sorted large-first (Listing 7) — each stage timed and
+    traced. The global feature index is a parallel reduction over
+    per-worker partial counts. *)
 
 type stage = {
   st_name : string;  (** "cfg", "if", "cf" or "df" *)
@@ -40,26 +41,9 @@ val extract :
   Pbca_binfmt.Image.t list ->
   result
 
-val extract_streamed :
-  ?config:Pbca_core.Config.t ->
-  ?otrace:Pbca_obs.Trace.t ->
-  pool:Pbca_concurrent.Task_pool.t ->
-  Pbca_binfmt.Image.t list ->
-  result
-(** Streaming pipeline (PR7): one overlapped [stream] stage instead of
-    the cfg/if/cf/df barriers. The finalize readiness protocol publishes
-    each function on a bounded {!Pbca_concurrent.Channel} the moment its
-    facts settle, and low-priority consumer tasks run all three feature
-    families per function into consumer-local tables, merged after the
-    channel closes. The resulting [index] is equal to {!extract}'s
-    (feature counting is commutative); [stages] collapses to the single
-    [stream] entry. Channel occupancy is recorded into each graph's
-    stats. At one thread the pipeline degenerates to the calling domain
-    extracting each function synchronously at publication. *)
-
 (** {2 Per-function extractors}
 
-    Exposed for {!Similarity} and custom pipelines; each returns a local
+    Exposed for {!Similarity} and custom drivers; each returns a local
     feature table for one function and charges its cost to the trace. *)
 
 val bump : (string, int) Hashtbl.t -> string -> int -> unit

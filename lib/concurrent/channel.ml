@@ -7,11 +7,6 @@ type 'a t = {
   not_empty : Condition.t;
   not_full : Condition.t;
   mutable closed : bool;
-  mutable hwm : int;
-  mutable producer_block : float;
-  mutable consumer_idle : float;
-  mutable n_sent : int;
-  mutable n_received : int;
   otrace : Pbca_obs.Trace.t;
   name : string;
 }
@@ -25,16 +20,9 @@ let create ?(otrace = Pbca_obs.Trace.disabled) ?(name = "chan") ~capacity () =
     not_empty = Condition.create ();
     not_full = Condition.create ();
     closed = false;
-    hwm = 0;
-    producer_block = 0.0;
-    consumer_idle = 0.0;
-    n_sent = 0;
-    n_received = 0;
     otrace;
     name;
   }
-
-let capacity t = t.cap
 
 let with_lock t f =
   Mutex.lock t.m;
@@ -46,14 +34,12 @@ let with_lock t f =
     Mutex.unlock t.m;
     raise e
 
-(* Block on [cond] until [ready] holds, under [t.m]. The accumulated wait
-   is charged to [charge], and (when the channel has a live trace) shows
-   up as one [channel]-phase span per contiguous wait — the per-stage
-   occupancy signal: producer spans mean the consumer is the bottleneck
-   and vice versa. *)
-let wait_until t cond ready ~charge ~span_name =
+(* Block on [cond] until [ready] holds, under [t.m]. When the channel has
+   a live trace, each contiguous wait shows up as one [channel]-phase
+   span: producer spans mean the consumers are the bottleneck and vice
+   versa. *)
+let wait_until t cond ready ~span_name =
   if not (ready ()) then begin
-    let t0 = Pbca_obs.Clock.now () in
     let span =
       if Pbca_obs.Trace.enabled t.otrace then
         Some
@@ -64,37 +50,31 @@ let wait_until t cond ready ~charge ~span_name =
     while not (ready ()) do
       Condition.wait cond t.m
     done;
-    charge (Pbca_obs.Clock.elapsed t0);
     match span with
     | Some sp -> Pbca_obs.Trace.end_span t.otrace sp
     | None -> ()
   end
+
+let push t x =
+  Queue.push x t.q;
+  Condition.signal t.not_empty
 
 let send t x =
   with_lock t (fun () ->
       if t.closed then raise Closed;
       wait_until t t.not_full
         (fun () -> t.closed || Queue.length t.q < t.cap)
-        ~charge:(fun dt -> t.producer_block <- t.producer_block +. dt)
         ~span_name:"send-wait";
       (* closed while we were blocked: the value cannot be delivered *)
       if t.closed then raise Closed;
-      Queue.push x t.q;
-      t.n_sent <- t.n_sent + 1;
-      let depth = Queue.length t.q in
-      if depth > t.hwm then t.hwm <- depth;
-      Condition.signal t.not_empty)
+      push t x)
 
 let try_send t x =
   with_lock t (fun () ->
       if t.closed then raise Closed;
       if Queue.length t.q >= t.cap then false
       else begin
-        Queue.push x t.q;
-        t.n_sent <- t.n_sent + 1;
-        let depth = Queue.length t.q in
-        if depth > t.hwm then t.hwm <- depth;
-        Condition.signal t.not_empty;
+        push t x;
         true
       end)
 
@@ -102,23 +82,12 @@ let recv t =
   with_lock t (fun () ->
       wait_until t t.not_empty
         (fun () -> t.closed || not (Queue.is_empty t.q))
-        ~charge:(fun dt -> t.consumer_idle <- t.consumer_idle +. dt)
         ~span_name:"recv-wait";
       match Queue.take_opt t.q with
       | Some x ->
-        t.n_received <- t.n_received + 1;
         Condition.signal t.not_full;
         Some x
       | None -> None (* closed and drained *))
-
-let try_recv t =
-  with_lock t (fun () ->
-      match Queue.take_opt t.q with
-      | Some x ->
-        t.n_received <- t.n_received + 1;
-        Condition.signal t.not_full;
-        `Item x
-      | None -> if t.closed then `Closed else `Empty)
 
 let close t =
   with_lock t (fun () ->
@@ -130,10 +99,4 @@ let close t =
         Condition.broadcast t.not_full
       end)
 
-let is_closed t = with_lock t (fun () -> t.closed)
 let length t = with_lock t (fun () -> Queue.length t.q)
-let high_water t = with_lock t (fun () -> t.hwm)
-let producer_block_wall t = with_lock t (fun () -> t.producer_block)
-let consumer_idle_wall t = with_lock t (fun () -> t.consumer_idle)
-let sent t = with_lock t (fun () -> t.n_sent)
-let received t = with_lock t (fun () -> t.n_received)

@@ -1,17 +1,14 @@
 (** Bounded multi-producer / multi-consumer channel.
 
-    The conveyor belt of the streaming pipeline (PR7): the CFG finalizer
-    publishes each function the moment its facts are settled, and the
-    skeleton-fill / feature-extraction consumers take them concurrently,
-    instead of the phases meeting at a full barrier. One mutex and two
-    condition variables — item rates are per-function (thousands per run,
-    not millions), so a lock-free ring would buy nothing measurable here,
-    and the mutex gives exact occupancy accounting for free.
+    The admission queue of the [bserve] daemon: acceptor domains offer
+    jobs with {!try_send} (a full queue sheds the request instead of
+    queueing latency) and worker domains take them with {!recv} until
+    {!close}. One mutex and two condition variables — item rates are
+    per-request, so a lock-free ring would buy nothing measurable here.
 
     Invariants:
-    - [send] blocks while the channel holds [capacity] items; the bound is
-      what keeps a fast producer from buffering the whole graph and
-      re-creating the barrier it was supposed to remove.
+    - [send] blocks while the channel holds [capacity] items; [try_send]
+      returns [false] instead.
     - [recv] blocks while the channel is empty and open; after {!close} it
       drains the remaining items in FIFO order, then returns [None].
     - [close] wakes every blocked party: blocked producers raise {!Closed}
@@ -19,12 +16,9 @@
     - Items are delivered exactly once, in FIFO order across any number of
       producers and consumers (single-lock linearization).
 
-    Occupancy instrumentation (the PR7 tuning substrate): the depth
-    high-water mark, cumulative producer block / consumer idle walls, and
-    send/receive counts. When built with a live {!Pbca_obs.Trace}, each
-    contiguous blocked wait is also recorded as a ["channel"]-phase span
-    — producer spans mean the consumer side is the bottleneck, and vice
-    versa. *)
+    When built with a live {!Pbca_obs.Trace}, each contiguous blocked wait
+    is recorded as a ["channel"]-phase span named [name ^ ":send-wait"] or
+    [name ^ ":recv-wait"]. *)
 
 type 'a t
 
@@ -37,8 +31,6 @@ val create :
   ?otrace:Pbca_obs.Trace.t -> ?name:string -> capacity:int -> unit -> 'a t
 (** [capacity] must be [>= 1]. [name] prefixes the trace span labels. *)
 
-val capacity : 'a t -> int
-
 val send : 'a t -> 'a -> unit
 (** Blocks while full. @raise Closed if the channel is (or becomes)
     closed before the value is enqueued. *)
@@ -50,27 +42,7 @@ val recv : 'a t -> 'a option
 (** Blocks while empty and open; [None] once the channel is closed and
     drained. *)
 
-val try_recv : 'a t -> [ `Item of 'a | `Empty | `Closed ]
-(** Non-blocking: [`Empty] means open-but-empty (worth retrying),
-    [`Closed] means closed and drained (stop). *)
-
 val close : 'a t -> unit
 (** Idempotent. Wakes all blocked producers and consumers. *)
 
-val is_closed : 'a t -> bool
 val length : 'a t -> int
-
-(** {2 Occupancy} *)
-
-val high_water : 'a t -> int
-(** Maximum queue depth ever reached. [high_water = capacity] means the
-    producer hit the bound (consumers were the bottleneck). *)
-
-val producer_block_wall : 'a t -> float
-(** Cumulative seconds producers spent blocked on a full channel. *)
-
-val consumer_idle_wall : 'a t -> float
-(** Cumulative seconds consumers spent blocked on an empty channel. *)
-
-val sent : 'a t -> int
-val received : 'a t -> int

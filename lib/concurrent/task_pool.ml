@@ -1,23 +1,15 @@
 (* Scheduler counters are per-pool (cumulative across the pool's
    regions), never process-global: two pools running concurrently each
-   count their own steals, and resetting one harness's pool cannot
-   clobber numbers out from under another run mid-flight — the race the
-   old module-level atomics had. Bench harnesses snapshot-diff them
-   around a run. *)
+   count their own steals. Bench harnesses snapshot-diff them around a
+   run. *)
 type t = {
   n : int;
   steals_ctr : int Atomic.t;
   steal_attempts_ctr : int Atomic.t;
   idle_sleeps_ctr : int Atomic.t;
-  active : region list Atomic.t;
-      (* every submitted-but-not-yet-retired region, newest first; workers
-         scan it to find cross-region work in priority order *)
-  next_rid : int Atomic.t;
 }
 
-and region = {
-  rid : int; (* registration order: the priority tie-break *)
-  prio : int;
+type region = {
   deques : (unit -> unit) Wsdeque.t array;
   pending : int Atomic.t; (* spawned-but-unfinished tasks *)
   failures : exn list Atomic.t;
@@ -31,8 +23,6 @@ let create ~threads =
     steals_ctr = Atomic.make 0;
     steal_attempts_ctr = Atomic.make 0;
     idle_sleeps_ctr = Atomic.make 0;
-    active = Atomic.make [];
-    next_rid = Atomic.make 0;
   }
 
 let threads t = t.n
@@ -53,11 +43,6 @@ let diff_stats ~before ~after =
     idle_sleeps = after.idle_sleeps - before.idle_sleeps;
   }
 
-let reset_stats t =
-  Atomic.set t.steals_ctr 0;
-  Atomic.set t.steal_attempts_ctr 0;
-  Atomic.set t.idle_sleeps_ctr 0
-
 exception Task_failures of exn list
 
 let rec push_failure region e =
@@ -65,24 +50,10 @@ let rec push_failure region e =
   if not (Atomic.compare_and_set region.failures cur (e :: cur)) then
     push_failure region e
 
-let rec register t region =
-  let cur = Atomic.get t.active in
-  if not (Atomic.compare_and_set t.active cur (region :: cur)) then
-    register t region
+(* Deque index of the current domain in the region it is working on. *)
+let slot_key : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 0)
 
-let rec deregister t region =
-  let cur = Atomic.get t.active in
-  let next = List.filter (fun r -> r != region) cur in
-  if not (Atomic.compare_and_set t.active cur next) then deregister t region
-
-(* Worker slot of the current domain: the region id it belongs to and its
-   deque index there. A domain executing a *foreign* region's task keeps
-   its home slot — any index is a valid push target because [Wsdeque] is
-   internally locked, so spawns from foreign executors need no special
-   routing. *)
-let slot_key : (int * int) Domain.DLS.key = Domain.DLS.new_key (fun () -> (-1, 0))
-
-let worker_index () = snd (Domain.DLS.get slot_key)
+let worker_index () = Domain.DLS.get slot_key
 
 let spawn_in region task =
   let me = worker_index () in
@@ -92,9 +63,7 @@ let spawn_in region task =
 let run_task region task =
   (* A crashing task must not wedge the region: every failure (including a
      fault injected by [Fault.on_task]) is collected, the pending count
-     still drops, and every sibling still runs. Failures land in the
-     *owning* region no matter which region's worker executed the task,
-     keeping fault containment per-region under cross-region stealing. *)
+     still drops, and every sibling still runs. *)
   (match
      Fault.on_task ();
      task ()
@@ -103,67 +72,26 @@ let run_task region task =
   | exception e -> push_failure region e);
   Atomic.decr region.pending
 
-(* Steal round-robin over a region's deques, starting after [from]. *)
-let steal_from pool region from =
-  let n = Array.length region.deques in
-  let rec try_steal i =
-    if i > n then None
-    else begin
-      let victim = (from + i) mod n in
-      ignore (Atomic.fetch_and_add pool.steal_attempts_ctr 1);
-      match Wsdeque.steal region.deques.(victim) with
-      | Some _ as t ->
-        ignore (Atomic.fetch_and_add pool.steals_ctr 1);
-        t
-      | None -> try_steal (i + 1)
-    end
-  in
-  try_steal 1
-
-(* Cross-region work: the highest-priority active region other than
-   [home] that still has pending work and clears [min_prio]; ties go to
-   the earliest-registered region so two equal-priority regions drain in
-   submission order rather than ping-ponging. *)
-let foreign_regions home ~min_prio =
-  match Atomic.get home.pool.active with
-  | [] | [ _ ] -> [] (* nothing but (at most) the home region *)
-  | regs ->
-    List.filter
-      (fun r -> r != home && r.prio >= min_prio && Atomic.get r.pending > 0)
-      regs
-    |> List.sort (fun a b ->
-           if a.prio <> b.prio then compare b.prio a.prio
-           else compare a.rid b.rid)
-
-(* Find work for a worker whose home region is [home]:
-   1. any *strictly higher-priority* foreign region first — this is what
-      makes a priority region drain before already-running lower-priority
-      work, since every worker in the pool flocks to it;
-   2. the home deques (own pop, then round-robin steal);
-   3. foreign regions down to [min_prio] (equal-priority mutual help for
-      helpers; masters set [min_prio] above their own priority so an
-      [await] never wedges inside an unrelated long-running task). *)
-let find_work home me ~min_prio =
-  let try_region r =
-    match steal_from home.pool r me with
-    | Some task -> Some (r, task)
-    | None -> None
-  in
-  let rec first = function
-    | [] -> None
-    | r :: rest -> (match try_region r with Some _ as x -> x | None -> first rest)
-  in
-  let foreign = foreign_regions home ~min_prio in
-  let higher, rest = List.partition (fun r -> r.prio > home.prio) foreign in
-  match first higher with
-  | Some _ as x -> x
-  | None -> (
-    match Wsdeque.pop home.deques.(me) with
-    | Some task -> Some (home, task)
-    | None -> (
-      match steal_from home.pool home me with
-      | Some task -> Some (home, task)
-      | None -> first rest))
+(* Own pop first, then steal round-robin over the region's other deques,
+   starting after [me]. *)
+let find_work region me =
+  match Wsdeque.pop region.deques.(me) with
+  | Some _ as task -> task
+  | None ->
+    let pool = region.pool in
+    let n = Array.length region.deques in
+    let rec try_steal i =
+      if i >= n then None
+      else begin
+        ignore (Atomic.fetch_and_add pool.steal_attempts_ctr 1);
+        match Wsdeque.steal region.deques.((me + i) mod n) with
+        | Some _ as task ->
+          ignore (Atomic.fetch_and_add pool.steals_ctr 1);
+          task
+        | None -> try_steal (i + 1)
+      end
+    in
+    try_steal 1
 
 (* Idle back-off: spin briefly (work usually reappears within a few steal
    attempts), then sleep with exponentially growing, capped pauses so an
@@ -173,21 +101,19 @@ let spin_limit = 64
 let sleep_base = 2e-6
 let sleep_cap = 2e-4
 
-(* Work until [region] has drained. [min_prio] bounds which foreign
-   regions this worker may help (see [find_work]). The home slot is
-   saved/restored so a task that opens a nested region returns to its
-   outer slot. *)
-let worker_loop region me ~min_prio =
+(* Work until [region] has drained. The slot is saved/restored so a task
+   that opens a nested region returns to its outer slot. *)
+let worker_loop region me =
   let saved = Domain.DLS.get slot_key in
-  Domain.DLS.set slot_key (region.rid, me);
+  Domain.DLS.set slot_key me;
   let idle_spins = ref 0 in
   let rec loop () =
     if Atomic.get region.pending = 0 then ()
     else
-      match find_work region me ~min_prio with
-      | Some (owner, task) ->
+      match find_work region me with
+      | Some task ->
         idle_spins := 0;
-        run_task owner task;
+        run_task region task;
         loop ()
       | None ->
         incr idle_spins;
@@ -202,37 +128,22 @@ let worker_loop region me ~min_prio =
   loop ();
   Domain.DLS.set slot_key saved
 
-type handle = { region : region; helpers : unit Domain.t array }
-
-let submit ?(priority = 0) t root =
+let run_collect t root =
   let region =
     {
-      rid = Atomic.fetch_and_add t.next_rid 1;
-      prio = priority;
       deques = Array.init t.n (fun _ -> Wsdeque.create ());
-      pending = Atomic.make 0;
+      pending = Atomic.make 1;
       failures = Atomic.make [];
       pool = t;
     }
   in
-  register t region;
-  Atomic.incr region.pending;
   Wsdeque.push region.deques.(0) (fun () -> root (spawn_in region));
   let helpers =
     Array.init (t.n - 1) (fun i ->
-        Domain.spawn (fun () ->
-            worker_loop region (i + 1) ~min_prio:region.prio))
+        Domain.spawn (fun () -> worker_loop region (i + 1)))
   in
-  { region; helpers }
-
-let await_collect h =
-  let region = h.region in
-  (* the master only helps regions of strictly higher priority than its
-     own: picking up an arbitrary sibling task (say, a channel consumer
-     loop that blocks until close) could wedge the await indefinitely *)
-  worker_loop region 0 ~min_prio:(region.prio + 1);
-  Array.iter Domain.join h.helpers;
-  deregister region.pool region;
+  worker_loop region 0;
+  Array.iter Domain.join helpers;
   List.rev (Atomic.get region.failures)
 
 let raise_failures = function
@@ -240,9 +151,7 @@ let raise_failures = function
   | [ e ] -> raise e
   | es -> raise (Task_failures es)
 
-let await h = raise_failures (await_collect h)
-let run_collect ?priority t root = await_collect (submit ?priority t root)
-let run ?priority t root = raise_failures (run_collect ?priority t root)
+let run t root = raise_failures (run_collect t root)
 
 (* Sampled once: the machine's core count does not change mid-process,
    and [parallel_for] consults it on every call. *)
@@ -307,11 +216,8 @@ let parallel_for t ?chunk lo hi f =
 let parallel_for_reduce t ?chunk lo hi ~init ~map ~combine =
   (* one heap-allocated ref per worker: each accumulator lives in its own
      block, so workers never write adjacent words of a shared array (the
-     false-sharing trap of packing partials into one flat array).
-     Accumulator slots are claimed from an atomic ticket rather than
-     [worker_index]: under cross-region stealing a foreign helper can
-     share a deque index with a native worker, and two bodies indexing
-     partials by slot would race. *)
+     false-sharing trap of packing partials into one flat array). Each
+     body claims its accumulator from an atomic ticket. *)
   if hi <= lo then init
   else begin
     let count = hi - lo in

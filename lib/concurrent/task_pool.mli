@@ -8,32 +8,14 @@
     stealing for load balance. The region ends when every transitively
     spawned task has completed.
 
+    Each {!run} opens one region and drains it before returning: the
+    calling domain and [threads - 1] helper domains work only on that
+    region's tasks. A task may itself call {!run}; the nested region gets
+    its own helpers, and the calling worker's slot is restored when the
+    nested region completes. A failing task is contained in its region.
+
     A pool with [threads = 1] executes everything on the calling domain with
-    no domains spawned, which serves as the serial baseline configuration.
-
-    {2 Multiple concurrent regions and priorities}
-
-    A pool may have several regions in flight at once: {!submit} opens a
-    region without blocking and returns a handle; {!await} drains it. Every
-    worker in the pool — whichever region it was spawned for — always
-    prefers work from the {e highest-priority} active region, so a
-    high-priority region submitted while lower-priority work is running
-    drains first. Beyond that, a region's helpers may pick up work from
-    other regions of equal or higher priority when their own deques run
-    dry, and the domain blocked in [await] helps only regions of strictly
-    higher priority than the awaited one (so an [await] can never wedge
-    inside an unrelated long-running task, e.g. a channel consumer loop
-    that only exits on close). Give such never-draining consumer regions
-    the lowest priority in the pipeline and nothing else will wander into
-    them.
-
-    Fault containment stays per-region under cross-region stealing: a
-    failure is recorded in the region that {e owns} the task, not the
-    region whose worker happened to execute it.
-
-    Regions may also nest: a task may call {!run}, which opens and drains
-    an inner region; the worker's slot is restored when the inner region
-    completes. *)
+    no domains spawned, which serves as the serial baseline configuration. *)
 
 type t
 
@@ -48,41 +30,19 @@ exception Task_failures of exn list
     collected exception in roughly completion order. A single failure is
     re-raised as itself. *)
 
-type handle
-(** An in-flight region opened by {!submit}. Every handle must be awaited
-    exactly once: [await] is what joins the region's helper domains and
-    retires it from the pool's active set. *)
-
-(** [submit ?priority t root] opens a parallel region and returns without
-    waiting for it: [root] receives [spawn], which may be called from any
-    task in the region to add work, and the region's helper domains start
-    immediately. Higher [priority] (default 0) regions are preferred by
-    every worker in the pool. *)
-val submit : ?priority:int -> t -> (((unit -> unit) -> unit) -> unit) -> handle
-
-(** [await h] works on the region (and any strictly higher-priority ones)
-    until every transitively spawned task has completed, then joins its
-    helpers and re-raises collected failures (one as itself, several as
-    {!Task_failures}). *)
-val await : handle -> unit
-
-(** [await_collect h] is {!await} but returns the collected failures
-    instead of raising. *)
-val await_collect : handle -> exn list
-
-(** [run t root] opens a parallel region and drains it: equivalent to
-    [await (submit ?priority t root)]. A crashing task never wedges the
-    region: every sibling still runs, the region always drains, and all
-    collected exceptions are re-raised afterwards. While {!Fault} is
-    armed, each task execution first passes through [Fault.on_task]. *)
-val run : ?priority:int -> t -> (((unit -> unit) -> unit) -> unit) -> unit
+(** [run t root] opens a parallel region and drains it: [root] receives
+    [spawn], which may be called from any task in the region to add work.
+    A crashing task never wedges the region: every sibling still runs, the
+    region always drains, and all collected exceptions are re-raised
+    afterwards. While {!Fault} is armed, each task execution first passes
+    through [Fault.on_task]. *)
+val run : t -> (((unit -> unit) -> unit) -> unit) -> unit
 
 (** [run_collect t root] is [run] but returns the collected task failures
     instead of raising, for callers that degrade gracefully (the parallel
     parser records them as [Task_failed] diagnostics and keeps the partial
     CFG). *)
-val run_collect :
-  ?priority:int -> t -> (((unit -> unit) -> unit) -> unit) -> exn list
+val run_collect : t -> (((unit -> unit) -> unit) -> unit) -> exn list
 
 (** [parallel_for t ?chunk lo hi f] applies [f] to every [i] in [lo, hi)
     using dynamic (guided-by-chunk) scheduling, as in
@@ -104,10 +64,7 @@ val parallel_for : t -> ?chunk:int -> int -> int -> (int -> unit) -> unit
 (** [parallel_for_reduce t ?chunk lo hi ~init ~map ~combine] folds [map i]
     over the index space; per-worker partial results are combined with
     [combine] (order unspecified, so [combine] should be associative and
-    commutative up to the caller's needs). Partial accumulators are
-    claimed from an atomic ticket, not {!worker_index}, so the reduction
-    stays race-free even when cross-region stealing lets a foreign helper
-    share a deque index with a native worker. *)
+    commutative up to the caller's needs). *)
 val parallel_for_reduce :
   t ->
   ?chunk:int ->
@@ -122,12 +79,11 @@ val parallel_for_reduce :
     separate tasks. *)
 val parallel_iter_list : t -> 'a list -> ('a -> unit) -> unit
 
-(** [worker_index ()] is the caller's worker slot in its home region
-    (0 for a region master, or outside any region). Only unique among the
-    workers executing a region's tasks while a single region is active;
-    under cross-region stealing a foreign helper can share an index with
-    a native worker, so per-worker accumulators keyed by it must tolerate
-    that (or use {!parallel_for_reduce}, which does not rely on it). *)
+(** [worker_index ()] is the caller's deque slot in the region it is
+    working on: 0 for the domain that called {!run} (and outside any
+    region), [1 .. threads - 1] for the helpers. Two tasks running at
+    the same time in one region never share a slot, so per-worker
+    accumulators may be indexed by it. *)
 val worker_index : unit -> int
 
 (** Cumulative scheduler counters, scoped to one pool (summed over its
@@ -136,13 +92,10 @@ val worker_index : unit -> int
     Idle workers back off exponentially (spin, then sleeps doubling from
     2 us up to a 200 us cap), so [idle_sleeps] is a direct measure of
     starvation. Per-pool scoping means concurrent pools never mix their
-    numbers and [reset_stats] cannot clobber another run's counters —
-    the race the old process-global counters had. For per-run numbers
-    without resetting, snapshot [stats] around the run and use
+    numbers. For per-run numbers, snapshot [stats] around the run and use
     {!diff_stats}. *)
 
 type pool_stats = { steals : int; steal_attempts : int; idle_sleeps : int }
 
 val stats : t -> pool_stats
 val diff_stats : before:pool_stats -> after:pool_stats -> pool_stats
-val reset_stats : t -> unit

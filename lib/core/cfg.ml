@@ -137,14 +137,6 @@ type stats = {
   csr_compactions : int Atomic.t;
       (* snapshot rebuilds forced by the dead fraction crossing
          [Config.csr_compact_threshold] *)
-  stream_published : int Atomic.t;
-      (* functions published on the pipeline channel (0 = barrier path) *)
-  stream_hwm : int Atomic.t;
-      (* pipeline channel depth high-water mark *)
-  stream_consumer_idle_us : int Atomic.t;
-      (* microseconds consumers spent blocked on an empty channel *)
-  stream_producer_block_us : int Atomic.t;
-      (* microseconds producers spent blocked on a full channel *)
   gap_gaps_scanned : int Atomic.t;
       (* unclaimed .text gaps examined by the gap-parsing rounds *)
   gap_entries_proposed : int Atomic.t;
@@ -230,10 +222,6 @@ let create ?(config = Config.default) ?(trace = Pbca_simsched.Trace.disabled)
       sched_idle_sleeps = Atomic.make 0;
       csr_deltas = Atomic.make 0;
       csr_compactions = Atomic.make 0;
-      stream_published = Atomic.make 0;
-      stream_hwm = Atomic.make 0;
-      stream_consumer_idle_us = Atomic.make 0;
-      stream_producer_block_us = Atomic.make 0;
       gap_gaps_scanned = Atomic.make 0;
       gap_entries_proposed = Atomic.make 0;
       gap_entries_accepted = Atomic.make 0;
@@ -268,20 +256,10 @@ let create ?(config = Config.default) ?(trace = Pbca_simsched.Trace.disabled)
     c "sched_idle_sleeps" stats.sched_idle_sleeps;
     c "csr_deltas" stats.csr_deltas;
     c "csr_compactions" stats.csr_compactions;
-    c "stream_published" stats.stream_published;
     c "gap_gaps_scanned" stats.gap_gaps_scanned;
     c "gap_entries_proposed" stats.gap_entries_proposed;
     c "gap_entries_accepted" stats.gap_entries_accepted;
     c "gap_entries_rejected" stats.gap_entries_rejected;
-    (* per-stage occupancy as gauges: snapshot-time reads of the stream
-       counters the pipeline drivers record after their channels close *)
-    let gf = Pbca_obs.Metrics.register_gauge_fn metrics in
-    gf "stream_channel_hwm" (fun () ->
-        float_of_int (Atomic.get stats.stream_hwm));
-    gf "stream_consumer_idle_s" (fun () ->
-        float_of_int (Atomic.get stats.stream_consumer_idle_us) /. 1e6);
-    gf "stream_producer_block_s" (fun () ->
-        float_of_int (Atomic.get stats.stream_producer_block_us) /. 1e6);
     c "contention_probes" counters.Pbca_concurrent.Contention.probes;
     c "contention_cas_retries" counters.Pbca_concurrent.Contention.cas_retries;
     c "contention_resizes" counters.Pbca_concurrent.Contention.resizes;

@@ -175,18 +175,6 @@ type stats = {
   csr_compactions : int Atomic.t;
       (** finalize CSR snapshot rebuilds forced by the dead fraction
           crossing [Config.csr_compact_threshold] *)
-  stream_published : int Atomic.t;
-      (** functions published on the pipeline channel by the finalize
-          readiness protocol (0 on the barrier path) *)
-  stream_hwm : int Atomic.t;
-      (** pipeline channel depth high-water mark; equal to the channel
-          capacity when the producer hit the bound *)
-  stream_consumer_idle_us : int Atomic.t;
-      (** cumulative microseconds pipeline consumers spent blocked on an
-          empty channel (starvation: the producer was the bottleneck) *)
-  stream_producer_block_us : int Atomic.t;
-      (** cumulative microseconds producers spent blocked on a full
-          channel (backpressure: the consumers were the bottleneck) *)
   gap_gaps_scanned : int Atomic.t;
       (** unclaimed [.text] gaps examined by the gap-parsing rounds *)
   gap_entries_proposed : int Atomic.t;

@@ -530,7 +530,7 @@ let run_legacy ~pool g =
           Atomic.set b.Cfg.b_ninsns (List.length (Disasm.block_insns g b))));
   fz.Cfg.fz_dirty <- List.rev fz.Cfg.fz_dirty
 
-let run ?on_ready ~pool g =
+let run ~pool g =
   let fz = g.Cfg.stats.Cfg.finalize in
   reset_stats fz;
   timed g "jt-clean" (t_jt fz) (fun () -> clean_jump_tables ~pool g);
@@ -699,66 +699,20 @@ let run ?on_ready ~pool g =
      active task (and thus dropped), which hid a real parallel phase
      from the replay model *)
   Trace.barrier g.Cfg.trace;
-  (match on_ready with
-  | None ->
-    timed g "bounds" (t_bounds fz) (fun () ->
-        Task_pool.parallel_for pool 0 (Array.length funcs) (fun i ->
-            let f = funcs.(i) in
-            Trace.run g.Cfg.trace ~label:"bounds" ~deps:[] (fun () ->
-                f.Cfg.f_blocks <- boundary_blocks_snap g !snap f)));
-    (* instruction counts are approximate during parsing (splits shrink
-       blocks concurrently); recompute them from the final block extents —
-       of the blocks still live in the (possibly delta-carrying) snapshot *)
-    timed g "recount" (t_recount fz) (fun () ->
-        let s = !snap in
-        let blocks = s.Csr.blocks in
-        Task_pool.parallel_for pool 0 (Array.length blocks) (fun i ->
-            if Csr.block_live s i then begin
-              let b = blocks.(i) in
-              Atomic.set b.Cfg.b_ninsns (List.length (Disasm.block_insns g b))
-            end))
-  | Some publish ->
-    (* Per-function readiness protocol (PR7): everything cross-function is
-       already settled here — jump tables clamped, reachability and
-       function pruning at their fixed points, every tail-call flip final
-       (fix rounds converged), noreturn statuses resolved during parse —
-       so the only facts still pending are each function's own boundary
-       and its blocks' final instruction counts. Fuse those two
-       per-function passes and publish each function the moment its own
-       pass completes: downstream stages (skeleton fill, feature
-       extraction) start on it immediately instead of after the last
-       function's. A shared bitset dedups the recount of blocks reachable
-       from several entries; blocks outside every boundary get their
-       recount in a sweep afterwards (no consumer reads those). *)
-    let s = !snap in
-    let counted =
-      Pbca_concurrent.Atomic_bitset.create (max 1 (Csr.n_blocks s))
-    in
-    timed g "bounds" (t_bounds fz) (fun () ->
-        Task_pool.parallel_for pool 0 (Array.length funcs) (fun i ->
-            let f = funcs.(i) in
-            Trace.run g.Cfg.trace ~label:"publish" ~deps:[] (fun () ->
-                let idx = boundary_idx g s f in
-                f.Cfg.f_blocks <- List.map (fun j -> s.Csr.blocks.(j)) idx;
-                List.iter
-                  (fun j ->
-                    if Pbca_concurrent.Atomic_bitset.set counted j then begin
-                      let b = s.Csr.blocks.(j) in
-                      Trace.tick g.Cfg.trace 1;
-                      Atomic.set b.Cfg.b_ninsns
-                        (List.length (Disasm.block_insns g b))
-                    end)
-                  idx;
-                Atomic.incr g.Cfg.stats.Cfg.stream_published;
-                publish f)));
-    timed g "recount" (t_recount fz) (fun () ->
-        let blocks = s.Csr.blocks in
-        Task_pool.parallel_for pool 0 (Array.length blocks) (fun i ->
-            if
-              Csr.block_live s i
-              && not (Pbca_concurrent.Atomic_bitset.test counted i)
-            then begin
-              let b = blocks.(i) in
-              Atomic.set b.Cfg.b_ninsns (List.length (Disasm.block_insns g b))
-            end)));
+  timed g "bounds" (t_bounds fz) (fun () ->
+      Task_pool.parallel_for pool 0 (Array.length funcs) (fun i ->
+          let f = funcs.(i) in
+          Trace.run g.Cfg.trace ~label:"bounds" ~deps:[] (fun () ->
+              f.Cfg.f_blocks <- boundary_blocks_snap g !snap f)));
+  (* instruction counts are approximate during parsing (splits shrink
+     blocks concurrently); recompute them from the final block extents —
+     of the blocks still live in the (possibly delta-carrying) snapshot *)
+  timed g "recount" (t_recount fz) (fun () ->
+      let s = !snap in
+      let blocks = s.Csr.blocks in
+      Task_pool.parallel_for pool 0 (Array.length blocks) (fun i ->
+          if Csr.block_live s i then begin
+            let b = blocks.(i) in
+            Atomic.set b.Cfg.b_ninsns (List.length (Disasm.block_insns g b))
+          end));
   fz.Cfg.fz_dirty <- List.rev fz.Cfg.fz_dirty

@@ -49,22 +49,8 @@
     block is gone from the maps, and the CFG is read-only for clients
     (paper Section 7.2). *)
 
-val run :
-  ?on_ready:(Cfg.func -> unit) -> pool:Pbca_concurrent.Task_pool.t -> Cfg.t -> unit
-(** Snapshot-indexed finalization (the default path).
-
-    [?on_ready] is the per-function readiness protocol of the streaming
-    pipeline (PR7): when supplied, each function is passed to it the
-    moment its facts are settled — after the tail-call fix rounds and the
-    prune fixed point have converged globally (cross-function
-    noreturn/tail-call facts and liveness are final then, which is the
-    publishable-after-the-last-fix-round-that-touched-it
-    over-approximation) and after the function's own final boundary
-    recompute and instruction recount have completed. The callback runs
-    concurrently from pool workers and must be thread-safe (e.g.
-    {!Pbca_concurrent.Channel.send}). Every function alive in the final
-    graph is published exactly once; the resulting graph is
-    {!Cfg_diff}-identical to a run without the callback. *)
+val run : pool:Pbca_concurrent.Task_pool.t -> Cfg.t -> unit
+(** Snapshot-indexed finalization (the default path). *)
 
 val run_legacy : pool:Pbca_concurrent.Task_pool.t -> Cfg.t -> unit
 (** Whole-graph baseline, semantically identical to {!run}. *)

@@ -113,10 +113,18 @@ and process_block_loop ctx (f : Cfg.func) (b0 : Cfg.block) =
             match e.e_kind with
             | Cfg.Call -> () (* fall-through handled at the call site *)
             | Cfg.Tail_call ->
-              (match Addr_map.find g.Cfg.funcs e.e_dst.Cfg.b_start with
-              | Some callee ->
-                Noreturn.subscribe_tail_status g ~caller:f ~callee ~fire
-              | None -> ())
+              (* The edge is registered before the parse task's post-actions
+                 create the callee, so a walk can see the edge first. Create
+                 the callee here (idempotent) rather than drop the
+                 subscription: a dropped one leaves the caller Unset, and
+                 [Noreturn.resolve_unset] would then make it non-returning. *)
+              let dst = e.e_dst.Cfg.b_start in
+              let callee =
+                match Addr_map.find g.Cfg.funcs dst with
+                | Some callee -> callee
+                | None -> ensure_func ctx dst
+              in
+              Noreturn.subscribe_tail_status g ~caller:f ~callee ~fire
             | Cfg.Fallthrough | Cfg.Jump | Cfg.Cond_taken | Cfg.Cond_fall
             | Cfg.Call_fallthrough | Cfg.Indirect ->
               let dst = e.e_dst in
@@ -723,10 +731,9 @@ let parse ?(config = Config.default) ?(trace = Pbca_simsched.Trace.disabled)
       detach_journal ();
       g)
 
-let parse_and_finalize ?config ?trace ?otrace ?persist ?resume ?on_ready ~pool
-    image =
+let parse_and_finalize ?config ?trace ?otrace ?persist ?resume ~pool image =
   let g = parse ?config ?trace ?otrace ?persist ?resume ~pool image in
   Otrace.with_span g.Cfg.otrace ~phase:"finalize" "finalize" (fun () ->
-      Finalize.run ?on_ready ~pool g);
+      Finalize.run ~pool g);
   Otrace.drain g.Cfg.otrace;
   g

@@ -59,14 +59,8 @@ val parse_and_finalize :
   ?otrace:Pbca_obs.Trace.t ->
   ?persist:persist ->
   ?resume:Recover.plan ->
-  ?on_ready:(Cfg.func -> unit) ->
   pool:Pbca_concurrent.Task_pool.t ->
   Pbca_binfmt.Image.t ->
   Cfg.t
-(** [?on_ready] is forwarded to {!Finalize.run}: the per-function
-    readiness protocol of the streaming pipeline. When supplied, each
-    function of the final graph is published to it (from pool workers,
-    concurrently) as soon as its blocks and cross-function
-    noreturn/tail-call facts are settled, letting downstream stages
-    consume per-function work before finalization has finished the whole
-    graph. *)
+(** {!parse} followed by {!Finalize.run}, the finalize step traced under
+    the [finalize] span phase. *)

@@ -240,17 +240,6 @@ let pp_stats fmt (g : Cfg.t) =
       (1000. *. fz.Cfg.fz_prune_wall)
       (1000. *. fz.Cfg.fz_recount_wall)
       (1000. *. fz.Cfg.fz_snapshot_wall);
-  (* per-stage occupancy of the streaming pipeline (PR7): printed only
-     when the readiness protocol actually published functions, so barrier
-     runs keep their output unchanged *)
-  if Atomic.get s.stream_published > 0 then
-    Format.fprintf fmt
-      "@ stream: published=%d channel_hwm=%d consumer_idle_ms=%.2f \
-       producer_block_ms=%.2f"
-      (Atomic.get s.stream_published)
-      (Atomic.get s.stream_hwm)
-      (float_of_int (Atomic.get s.stream_consumer_idle_us) /. 1e3)
-      (float_of_int (Atomic.get s.stream_producer_block_us) /. 1e3);
   (* phase breakdown from the span trace (when one was attached): total
      span wall per phase, the per-run answer to "where did time go" *)
   if Pbca_obs.Trace.enabled g.Cfg.otrace then begin

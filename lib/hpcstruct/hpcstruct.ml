@@ -4,9 +4,7 @@ module Dbg_codec = Pbca_debuginfo.Codec
 module Line_map = Pbca_debuginfo.Line_map
 module Cfg = Pbca_core.Cfg
 module Task_pool = Pbca_concurrent.Task_pool
-module Channel = Pbca_concurrent.Channel
 module Trace = Pbca_simsched.Trace
-module Otrace = Pbca_obs.Trace
 
 type phase = {
   ph_name : string;
@@ -128,22 +126,6 @@ let serialize skeletons =
   Buffer.add_string buf "</structure>\n";
   Buffer.contents buf
 
-let count_result output phases g skeletons =
-  let n_loops =
-    List.fold_left (fun acc sk -> acc + List.length sk.sk_loops) 0 skeletons
-  in
-  let n_stmts =
-    List.fold_left (fun acc sk -> acc + List.length sk.sk_stmts) 0 skeletons
-  in
-  {
-    output;
-    phases;
-    cfg = g;
-    n_funcs = List.length skeletons;
-    n_loops;
-    n_stmts;
-  }
-
 let debug_section image =
   match Image.section image ".debug" with
   | Some s -> s.Pbca_binfmt.Section.data
@@ -202,220 +184,29 @@ let run_phases ?(config = Pbca_core.Config.default) ~pool image read_phase =
   let skeleton_list = Array.to_list skeletons in
   let output, t7 = time (fun () -> serialize skeleton_list) in
   add "emit" t7 None (String.length output / 64);
-  count_result output (List.rev !phases) g skeleton_list
-
-(* ------------------------------------------------------------------ *)
-(* Streaming pipeline (PR7): no phase barriers after [read]. DWARF
-   parsing runs in a high-priority pool region overlapping CFG
-   construction; the finalize readiness protocol publishes each function
-   on a bounded channel the moment its facts are settled, and consumer
-   tasks fill skeletons as functions arrive instead of after the
-   whole-graph barrier. Output is byte-identical to [run_phases]: the
-   filled skeletons are re-ordered by entry address before emission. *)
-
-let stream_channel_capacity = 64
-
-(* record the channel's occupancy into the graph's stats so
-   [Summary.pp_stats] (and the adopted metrics gauges) can report it *)
-let record_occupancy g ch =
-  let s = g.Cfg.stats in
-  Atomic.set s.Cfg.stream_hwm (Channel.high_water ch);
-  Atomic.set s.Cfg.stream_consumer_idle_us
-    (int_of_float (Channel.consumer_idle_wall ch *. 1e6));
-  Atomic.set s.Cfg.stream_producer_block_us
-    (int_of_float (Channel.producer_block_wall ch *. 1e6))
-
-let run_phases_streamed ?(config = Pbca_core.Config.default)
-    ?(otrace = Otrace.disabled) ~pool image read_phase =
-  let phases = ref (Option.to_list read_phase) in
-  let add name wall trace work =
-    phases := { ph_name = name; ph_wall = wall; ph_trace = trace; ph_work = work } :: !phases
-  in
-  let debug_data = debug_section image in
-  let dwarf_trace = Trace.create () in
-  let cfg_trace = Trace.create () in
-  let fill_trace = Trace.create () in
-  let n = Task_pool.threads pool in
-  if n = 1 then begin
-    (* Sequential streaming: same pipeline shape with the calling domain
-       as the only worker, so no channel and no helper domains — each
-       published function is filled synchronously inside [on_ready].
-       There is still no barrier between finalization and fill. *)
-    let dbg, t2 = time (fun () -> parse_debug ~pool dwarf_trace debug_data) in
-    add "dwarf" t2 (Some dwarf_trace) (Trace.total_work dwarf_trace);
-    let line_map, t3 = time (fun () -> Line_map.build dbg) in
-    add "linemap" t3 None (Line_map.length line_map);
-    let filled = ref [] in
-    let g, t4 =
-      time (fun () ->
-          let g =
-            Pbca_core.Parallel.parse ~config ~trace:cfg_trace ~otrace ~pool
-              image
-          in
-          Otrace.with_span otrace ~phase:"finalize" "finalize" (fun () ->
-              Pbca_core.Finalize.run ~pool g
-                ~on_ready:(fun f ->
-                  let sk = make_skeleton f in
-                  Otrace.with_span otrace ~phase:"stage" "fill" (fun () ->
-                      Trace.run fill_trace ~label:"fill" ~deps:[] (fun () ->
-                          fill_skeleton g dbg line_map fill_trace sk));
-                  filled := sk :: !filled));
-          Otrace.drain otrace;
-          g)
-    in
-    add "stream" t4 (Some cfg_trace)
-      (Trace.total_work cfg_trace + Trace.total_work fill_trace);
-    let skeletons =
-      List.sort
-        (fun a b ->
-          compare a.sk_func.Cfg.f_entry_addr b.sk_func.Cfg.f_entry_addr)
-        !filled
-    in
-    let output, t7 = time (fun () -> serialize skeletons) in
-    add "emit" t7 None (String.length output / 64);
-    count_result output (List.rev !phases) g skeletons
-  end
-  else begin
-    (* Overlapping regions: the dwarf region (priority 2) outranks the
-       parse's internal regions (priority 0), so workers clear the small
-       debug-info parse first — it gates the fill consumers. The consumer
-       region takes the lowest priority: its tasks block in [recv] until
-       the channel closes, and nothing else in the pool may wander into
-       them (a master awaiting another region only helps strictly
-       higher-priority regions). *)
-    let blobs = Dbg_codec.cu_blobs debug_data in
-    let dwarf_out = Array.make (Array.length blobs) None in
-    let dwarf_h =
-      Task_pool.submit ~priority:2 pool (fun spawn ->
-          Array.iteri
-            (fun i blob ->
-              let d = Trace.capture dwarf_trace in
-              spawn (fun () ->
-                  Trace.run dwarf_trace ~label:"cu" ~deps:[ d ] (fun () ->
-                      Trace.tick dwarf_trace (16 + (Bytes.length blob / 16));
-                      dwarf_out.(i) <- Some (Dbg_codec.decode_cu blob))))
-            blobs)
-    in
-    let ch =
-      Channel.create ~otrace ~name:"funcs" ~capacity:stream_channel_capacity ()
-    in
-    (* gate: dwarf + line map ready. Opened by a dedicated task in the
-       consumer region (spawned last, so its worker pops it first). *)
-    let gate = Atomic.make None in
-    let gref = Atomic.make None in
-    let filled = Atomic.make [] in
-    let rec push_filled sk =
-      let cur = Atomic.get filled in
-      if not (Atomic.compare_and_set filled cur (sk :: cur)) then
-        push_filled sk
-    in
-    let fill_now g dbg line_map f =
-      let sk = make_skeleton f in
-      Otrace.with_span otrace ~phase:"stage" "fill" (fun () ->
-          Trace.run fill_trace ~label:"fill" ~deps:[] (fun () ->
-              fill_skeleton g dbg line_map fill_trace sk));
-      push_filled sk
-    in
-    let consumer () =
-      (* functions that arrive before the gate opens are deferred, never
-         blocked on: the channel must keep draining so the publisher is
-         only ever backpressured by fill throughput, not by dwarf *)
-      let deferred = ref [] in
-      let flush_deferred () =
-        match (Atomic.get gate, Atomic.get gref) with
-        | Some (dbg, lm), Some g ->
-          List.iter (fun f -> fill_now g dbg lm f) (List.rev !deferred);
-          deferred := []
-        | _ -> ()
-      in
-      let rec loop () =
-        match Channel.recv ch with
-        | Some f ->
-          (match (Atomic.get gate, Atomic.get gref) with
-          | Some (dbg, lm), Some g ->
-            flush_deferred ();
-            fill_now g dbg lm f
-          | _ -> deferred := f :: !deferred);
-          loop ()
-        | None ->
-          (* the producer opens the gate before closing the channel *)
-          flush_deferred ()
-      in
-      loop ()
-    in
-    let consumers_h =
-      Task_pool.submit ~priority:(-1) pool (fun spawn ->
-          for _ = 1 to max 1 (n - 1) do
-            spawn consumer
-          done;
-          spawn (fun () ->
-              (* the gate task helps drain the dwarf region, then builds
-                 the line map and opens the gate for the consumers *)
-              Task_pool.await dwarf_h;
-              let dbg = { Dbg.cus = Array.map Option.get dwarf_out } in
-              let lm = Line_map.build dbg in
-              Atomic.set gate (Some (dbg, lm))))
-    in
-    let g, t_stream =
-      time (fun () ->
-          let g =
-            Pbca_core.Parallel.parse ~config ~trace:cfg_trace ~otrace ~pool
-              image
-          in
-          Atomic.set gref (Some g);
-          Otrace.with_span otrace ~phase:"finalize" "finalize" (fun () ->
-              Pbca_core.Finalize.run ~pool g
-                ~on_ready:(fun f -> Channel.send ch f));
-          (* consumers flush deferred work when the channel closes, so the
-             gate must be open by then; the gate task cannot be wedged
-             (the dwarf region drains independently of this wait) *)
-          while Atomic.get gate = None do
-            Domain.cpu_relax ()
-          done;
-          Channel.close ch;
-          Task_pool.await consumers_h;
-          record_occupancy g ch;
-          Otrace.drain otrace;
-          g)
-    in
-    add "stream" t_stream (Some cfg_trace)
-      (Trace.total_work dwarf_trace
-      + Trace.total_work cfg_trace
-      + Trace.total_work fill_trace);
-    let skeletons =
-      List.sort
-        (fun a b ->
-          compare a.sk_func.Cfg.f_entry_addr b.sk_func.Cfg.f_entry_addr)
-        (Atomic.get filled)
-    in
-    let output, t7 = time (fun () -> serialize skeletons) in
-    add "emit" t7 None (String.length output / 64);
-    count_result output (List.rev !phases) g skeletons
-  end
-
-let read_phase_of bytes =
-  let image, t1 = time (fun () -> Image.read bytes) in
-  ( image,
-    Some
-      {
-        ph_name = "read";
-        ph_wall = t1;
-        ph_trace = None;
-        ph_work = Bytes.length bytes / 256;
-      } )
+  let count f = Array.fold_left (fun acc sk -> acc + List.length (f sk)) 0 in
+  {
+    output;
+    phases = List.rev !phases;
+    cfg = g;
+    n_funcs = Array.length skeletons;
+    n_loops = count (fun sk -> sk.sk_loops) skeletons;
+    n_stmts = count (fun sk -> sk.sk_stmts) skeletons;
+  }
 
 let run ?config ~pool bytes =
-  let image, read_phase = read_phase_of bytes in
-  run_phases ?config ~pool image read_phase
+  let image, t1 = time (fun () -> Image.read bytes) in
+  let read =
+    {
+      ph_name = "read";
+      ph_wall = t1;
+      ph_trace = None;
+      ph_work = Bytes.length bytes / 256;
+    }
+  in
+  run_phases ?config ~pool image (Some read)
 
 let run_image ?config ~pool image = run_phases ?config ~pool image None
-
-let run_streamed ?config ?otrace ~pool bytes =
-  let image, read_phase = read_phase_of bytes in
-  run_phases_streamed ?config ?otrace ~pool image read_phase
-
-let run_image_streamed ?config ?otrace ~pool image =
-  run_phases_streamed ?config ?otrace ~pool image None
 
 let phase_wall r sub =
   List.fold_left

@@ -47,36 +47,6 @@ val run_image :
   result
 (** Like {!run} but skips phase 1 (the image is already loaded). *)
 
-val run_streamed :
-  ?config:Pbca_core.Config.t ->
-  ?otrace:Pbca_obs.Trace.t ->
-  pool:Pbca_concurrent.Task_pool.t ->
-  Bytes.t ->
-  result
-(** Streaming pipeline (PR7): instead of the phase barriers of {!run},
-    debug-info parsing runs in a high-priority pool region overlapping
-    CFG construction, and the finalize readiness protocol publishes each
-    function on a bounded {!Pbca_concurrent.Channel} as soon as its facts
-    settle; consumer tasks in a low-priority region fill skeletons as
-    functions arrive. Phases after [read] collapse into one overlapped
-    [stream] phase plus the serial [emit] tail ([dwarf]/[linemap] stay
-    separate at one thread, where the pipeline degenerates to the calling
-    domain filling each function synchronously at publication). The
-    output is byte-identical to {!run}. Channel occupancy (high-water
-    mark, consumer idle and producer block wall) is recorded into the
-    graph's stats and surfaces through {!Pbca_core.Summary.pp_stats} and
-    the metrics gauges. When [?otrace] is supplied, channel waits and
-    per-function fills record spans under the [channel] and [stage]
-    phases. *)
-
-val run_image_streamed :
-  ?config:Pbca_core.Config.t ->
-  ?otrace:Pbca_obs.Trace.t ->
-  pool:Pbca_concurrent.Task_pool.t ->
-  Pbca_binfmt.Image.t ->
-  result
-(** Like {!run_streamed} but skips phase 1 (the image is already loaded). *)
-
 val phase_wall : result -> string -> float
 (** Total wall time of phases whose name contains the given substring. *)
 

@@ -3,7 +3,7 @@
     One registry is created per analysis run (each {!Pbca_core.Cfg.t}
     owns one), so two concurrent runs never share handles and resetting
     one run's numbers cannot clobber another's — the race the old
-    process-global [Task_pool.reset_stats] had. Existing hot-path
+    process-global scheduler counters had. Existing hot-path
     atomics are adopted with {!register_counter} (the registry stores
     the same [Atomic.t] the mutating code increments), so unification
     costs the hot paths nothing.

@@ -70,6 +70,28 @@ let test_hpcstruct_traces () =
   Alcotest.(check bool) "phase_wall finds cfg" true (H.phase_wall r "cfg" >= 0.0);
   Alcotest.(check bool) "total wall positive" true (H.total_wall r > 0.0)
 
+let test_hpcstruct_task_labels () =
+  (* the per-task structure the bench's Table 2 / Figure 2 replays: one
+     task per filled function, and finalize's per-function bounds epoch
+     inside the cfg phase *)
+  let pool = TP.create ~threads:2 in
+  let r = H.run_image ~pool (small_image ()) in
+  let has_label phase label =
+    List.exists
+      (fun (p : H.phase) ->
+        p.ph_name = phase
+        &&
+        match p.ph_trace with
+        | Some tr ->
+          List.exists
+            (fun (t : Pbca_simsched.Trace.task) -> t.label = label)
+            (Pbca_simsched.Trace.tasks tr)
+        | None -> false)
+      r.phases
+  in
+  Alcotest.(check bool) "fill tasks traced" true (has_label "fill" "fill");
+  Alcotest.(check bool) "bounds epoch traced" true (has_label "cfg" "bounds")
+
 let test_binfeat_runs () =
   let pool = TP.create ~threads:2 in
   let imgs = List.init 4 (fun i -> small_image ~n:25 ~seed:(400 + i) ()) in
@@ -136,6 +158,7 @@ let suite =
     quick "hpcstruct: output deterministic across threads" test_hpcstruct_deterministic;
     quick "hpcstruct: every function in output" test_hpcstruct_output_complete;
     quick "hpcstruct: phase traces populated" test_hpcstruct_traces;
+    quick "hpcstruct: fill and bounds traced" test_hpcstruct_task_labels;
     quick "binfeat: runs with all stages" test_binfeat_runs;
     quick "binfeat: index deterministic across threads" test_binfeat_deterministic;
     quick "binfeat: n-grams hand-checked" test_binfeat_ngrams_handchecked;

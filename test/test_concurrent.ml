@@ -5,7 +5,7 @@ open Tutil
 module TP = Pbca_concurrent.Task_pool
 module Bag = Pbca_concurrent.Conc_bag
 module Barrier = Pbca_concurrent.Barrier
-module Rwlock = Pbca_concurrent.Rwlock
+module Ch = Pbca_concurrent.Channel
 module Wsdeque = Pbca_concurrent.Wsdeque
 module TL = Pbca_concurrent.Thread_local
 
@@ -29,37 +29,6 @@ module Contention = Pbca_concurrent.Contention
 let in_domains n f =
   let ds = List.init n (fun i -> Domain.spawn (fun () -> f i)) in
   List.map Domain.join ds
-
-(* ------------------------------- rwlock ------------------------------- *)
-
-let test_rwlock_readers_share () =
-  let l = Rwlock.create () in
-  let inside = Atomic.make 0 in
-  let peak = Atomic.make 0 in
-  let b = Barrier.create 3 in
-  ignore
-    (in_domains 3 (fun _ ->
-         Barrier.await b;
-         Rwlock.with_read l (fun () ->
-             Atomic.incr inside;
-             let rec bump () =
-               let p = Atomic.get peak and c = Atomic.get inside in
-               if c > p && not (Atomic.compare_and_set peak p c) then bump ()
-             in
-             bump ();
-             Unix.sleepf 0.01;
-             Atomic.decr inside)));
-  Alcotest.(check bool) "readers overlapped" true (Atomic.get peak >= 2)
-
-let test_rwlock_writer_excludes () =
-  let l = Rwlock.create () in
-  let counter = ref 0 in
-  ignore
-    (in_domains 4 (fun _ ->
-         for _ = 1 to 1000 do
-           Rwlock.with_write l (fun () -> incr counter)
-         done));
-  Alcotest.(check int) "no lost updates" 4000 !counter
 
 (* ------------------------------ conc_hash ----------------------------- *)
 
@@ -444,6 +413,50 @@ let test_pool_run_collect () =
   Alcotest.(check (list string)) "second region clean" []
     (List.map Printexc.to_string (TP.run_collect pool (fun _ -> ())))
 
+let test_pool_nested_run () =
+  (* a task may open and drain a nested region: every nested task runs,
+     and the worker's slot is restored when the nested run returns *)
+  let pool = TP.create ~threads:2 in
+  let inner = Atomic.make 0 in
+  let slots_ok = Atomic.make true in
+  TP.run pool (fun spawn ->
+      for _ = 1 to 4 do
+        spawn (fun () ->
+            let me = TP.worker_index () in
+            TP.run pool (fun spawn' ->
+                for _ = 1 to 8 do
+                  spawn' (fun () -> Atomic.incr inner)
+                done);
+            if TP.worker_index () <> me then Atomic.set slots_ok false)
+      done);
+  Alcotest.(check int) "every nested task ran" 32 (Atomic.get inner);
+  Alcotest.(check bool) "slot restored" true (Atomic.get slots_ok)
+
+let test_pool_nested_fault () =
+  (* a failure in a nested region surfaces from the nested run_collect
+     only: the enclosing region and its other tasks complete untouched *)
+  let pool = TP.create ~threads:2 in
+  let nested = Atomic.make [] in
+  let outer_done = Atomic.make 0 in
+  let outer_errs =
+    TP.run_collect pool (fun spawn ->
+        spawn (fun () ->
+            Atomic.set nested
+              (TP.run_collect pool (fun spawn' ->
+                   spawn' (fun () -> failwith "inner");
+                   spawn' (fun () -> ()))));
+        for _ = 1 to 8 do
+          spawn (fun () -> Atomic.incr outer_done)
+        done)
+  in
+  Alcotest.(check (list string)) "nested failure captured" [ "inner" ]
+    (List.filter_map
+       (function Failure m -> Some m | _ -> None)
+       (Atomic.get nested));
+  Alcotest.(check (list string)) "enclosing region clean" []
+    (List.map Printexc.to_string outer_errs);
+  Alcotest.(check int) "enclosing tasks unaffected" 8 (Atomic.get outer_done)
+
 let test_parallel_for_fault_containment () =
   let pool = TP.create ~threads:4 in
   let hits = Array.make 200 0 in
@@ -509,6 +522,140 @@ let test_parallel_iter_list () =
   TP.parallel_iter_list pool [ "a"; "b"; "c"; "d" ] (fun s -> Bag.add acc s);
   Alcotest.(check int) "all visited" 4 (Bag.length acc)
 
+(* ------------------------------- channel ------------------------------ *)
+
+let test_channel_fifo_sequential () =
+  let ch = Ch.create ~capacity:4 () in
+  for i = 1 to 4 do
+    Ch.send ch i
+  done;
+  Alcotest.(check bool) "full" false (Ch.try_send ch 5);
+  Alcotest.(check int) "length" 4 (Ch.length ch);
+  for i = 1 to 4 do
+    Alcotest.(check (option int)) "fifo" (Some i) (Ch.recv ch)
+  done;
+  Alcotest.(check int) "empty" 0 (Ch.length ch);
+  Ch.close ch;
+  Alcotest.(check (option int)) "closed" None (Ch.recv ch);
+  Alcotest.(check bool) "send after close raises" true
+    (try
+       Ch.send ch 9;
+       false
+     with Ch.Closed -> true)
+
+let test_channel_bounded_blocking () =
+  (* a producer pushing N items through a capacity-2 channel must block
+     until the consumer drains: no depth the producer samples exceeds the
+     bound, and the FIFO order proves delivery *)
+  let n = 200 in
+  let ch = Ch.create ~capacity:2 () in
+  let producer =
+    Domain.spawn (fun () ->
+        let deepest = ref 0 in
+        for i = 0 to n - 1 do
+          Ch.send ch i;
+          deepest := max !deepest (Ch.length ch)
+        done;
+        Ch.close ch;
+        !deepest)
+  in
+  let got = ref [] in
+  let rec drain () =
+    match Ch.recv ch with
+    | Some v ->
+      got := v :: !got;
+      drain ()
+    | None -> ()
+  in
+  drain ();
+  let deepest = Domain.join producer in
+  Alcotest.(check (list int)) "all items in order"
+    (List.init n (fun i -> i))
+    (List.rev !got);
+  Alcotest.(check bool) "bound respected" true (deepest <= 2);
+  (* at the bound, a non-blocking send is refused *)
+  let full = Ch.create ~capacity:2 () in
+  Ch.send full 0;
+  Ch.send full 1;
+  Alcotest.(check bool) "try_send refused when full" false (Ch.try_send full 2);
+  Alcotest.(check int) "nothing enqueued past the bound" 2 (Ch.length full)
+
+let test_channel_mpmc () =
+  (* 2 producers x 2 consumers; every item delivered exactly once, and
+     each consumer's view of any single producer is in sending order
+     (FIFO queue + exactly-once pops) *)
+  let per_producer = 500 in
+  let ch = Ch.create ~capacity:8 () in
+  let producers =
+    List.init 2 (fun p ->
+        Domain.spawn (fun () ->
+            for i = 0 to per_producer - 1 do
+              Ch.send ch (p, i)
+            done))
+  in
+  let consumers =
+    List.init 2 (fun _ ->
+        Domain.spawn (fun () ->
+            let rec loop acc =
+              match Ch.recv ch with
+              | Some v -> loop (v :: acc)
+              | None -> List.rev acc
+            in
+            loop []))
+  in
+  List.iter Domain.join producers;
+  Ch.close ch;
+  let views = List.map Domain.join consumers in
+  let all = List.concat views in
+  Alcotest.(check int) "exactly once (count)" (2 * per_producer)
+    (List.length all);
+  let expect =
+    List.concat_map
+      (fun p -> List.init per_producer (fun i -> (p, i)))
+      [ 0; 1 ]
+  in
+  Alcotest.(check bool) "exactly once (multiset)" true
+    (List.sort compare all = expect);
+  let rec increasing = function
+    | a :: (b :: _ as rest) -> a < b && increasing rest
+    | _ -> true
+  in
+  List.iter
+    (fun view ->
+      List.iter
+        (fun p ->
+          let seqs =
+            List.filter_map (fun (p', i) -> if p' = p then Some i else None) view
+          in
+          Alcotest.(check bool) "per-producer order" true (increasing seqs))
+        [ 0; 1 ])
+    views
+
+let test_channel_close_while_blocked () =
+  (* consumer blocked on empty: close must wake it with None *)
+  let ch = Ch.create ~capacity:2 () in
+  let consumer = Domain.spawn (fun () -> Ch.recv ch) in
+  Unix.sleepf 0.02;
+  Ch.close ch;
+  Alcotest.(check (option int)) "woken with None" None (Domain.join consumer);
+  (* producer blocked on full: close must wake it with Closed *)
+  let ch2 = Ch.create ~capacity:1 () in
+  Ch.send ch2 1;
+  let producer =
+    Domain.spawn (fun () ->
+        try
+          Ch.send ch2 2;
+          false
+        with Ch.Closed -> true)
+  in
+  Unix.sleepf 0.02;
+  Ch.close ch2;
+  Alcotest.(check bool) "woken with Closed" true (Domain.join producer);
+  (* the blocked value was not delivered; the pre-close one drains *)
+  Alcotest.(check (option int)) "drains pre-close item" (Some 1)
+    (Ch.recv ch2);
+  Alcotest.(check (option int)) "then closed" None (Ch.recv ch2)
+
 (* ------------------------------ others -------------------------------- *)
 
 let test_bag () =
@@ -551,8 +698,6 @@ let test_barrier_cyclic () =
 
 let suite =
   [
-    quick "rwlock: readers share" test_rwlock_readers_share;
-    quick "rwlock: writers exclude" test_rwlock_writer_excludes;
     quick "conc_hash: basic ops" test_map_basic;
     quick "conc_hash: find_or_insert" test_map_find_or_insert;
     quick "conc_hash: update is atomic" test_map_update_atomic;
@@ -580,6 +725,8 @@ let suite =
     quick "task_pool: multiple failures all reported"
       test_pool_multiple_failures;
     quick "task_pool: run_collect contains failures" test_pool_run_collect;
+    quick "task_pool: nested run drains" test_pool_nested_run;
+    quick "task_pool: nested fault contained" test_pool_nested_fault;
     quick "parallel_for: fault mid-range contained"
       test_parallel_for_fault_containment;
     quick "fault injection: deterministic ordinals" test_fault_injection;
@@ -587,6 +734,10 @@ let suite =
     quick "parallel_for: empty ranges" test_parallel_for_empty;
     quick "parallel_for_reduce: sum" test_parallel_for_reduce;
     quick "parallel_iter_list" test_parallel_iter_list;
+    quick "channel: fifo sequential" test_channel_fifo_sequential;
+    quick "channel: bounded blocking" test_channel_bounded_blocking;
+    quick "channel: mpmc across domains" test_channel_mpmc;
+    quick "channel: close while blocked" test_channel_close_while_blocked;
     quick "conc_bag: concurrent adds and drain" test_bag;
     quick "thread_local: per-domain instances" test_thread_local;
     quick "barrier: cyclic phases" test_barrier_cyclic;

@@ -18,7 +18,6 @@ let () =
       ("obs", Test_obs.suite);
       ("recovery", Test_recovery.suite);
       ("apps", Test_apps.suite);
-      ("pipeline", Test_pipeline.suite);
       ("serve", Test_serve.suite);
       ("gap", Test_gap.suite);
     ]

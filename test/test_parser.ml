@@ -395,7 +395,17 @@ let test_determinism_sweep =
         let p = { (Profile.coreutils_like i) with seed = 42_000 + i } in
         let r = Pbca_codegen.Emit.generate p in
         assert_deterministic ~threads:[ 1; 2; 4 ] r.image
-      done)
+      done;
+      (* Stripped members grow from the entry point alone, so tail calls
+         often reach callees no symbol created. Repeated 2-domain runs
+         give a walk many chances to see a tail-call edge before its
+         callee exists; the walk must still subscribe to the callee's
+         return status, or the caller is resolved noreturn. *)
+      List.iter
+        (fun i ->
+          let r = Pbca_codegen.Family.generate Pbca_codegen.Family.Stripped i in
+          assert_deterministic ~threads:(List.init 30 (fun _ -> 2)) r.image)
+        [ 1; 2; 5 ])
 
 let test_parallel_repeated =
   slow "determinism: repeated 4-thread runs identical" (fun () ->
