@@ -1780,9 +1780,9 @@ let serve_report ~smoke () =
   let reps = if smoke then 2 else 4 in
   let tput_n = if smoke then 5 else 20 in
   let subjects =
-    (* service subjects are sized so re-discovery dominates the
-       checkpoint-replay cost on a cache hit; at coreutils scale (~40
-       funcs, ~2ms parses) the comparison is pure timer noise *)
+    (* service subjects are sized so a cold parse stands well above
+       timer noise next to a cache hit, which reads one stored reply; at
+       coreutils scale (~40 funcs, ~2ms parses) the comparison is noise *)
     if smoke then [ { Profile.default with Profile.n_funcs = 25; seed = 11 } ]
     else
       List.map
@@ -1860,8 +1860,8 @@ let serve_report ~smoke () =
               daemon_ok := false;
             cold_us := min !cold_us r.Wire.rp_run_us
           done;
-          (* populate, then measure the cached path: checkpoint replay
-             instead of re-discovery *)
+          (* populate, then measure the cached path: a read of the
+             stored reply instead of re-discovery *)
           let warm_req = Wire.request ~image:bytes Wire.Parse in
           let first = roundtrip warm_req in
           if first.Wire.rp_status <> Wire.Ok_clean || fp_of first <> local_fp
@@ -2019,15 +2019,15 @@ let serve_checks ~smoke j =
         check
           (name ^ ": throughput measured")
           (json_num s [ "throughput_req_s" ] > 0.0);
-        (* the acceptance gate: replaying the checkpoint must beat
-           re-discovering the CFG. Too noisy to assert on the
-           seconds-long smoke subjects; the full bench asserts it. *)
+        (* the acceptance gate: reading the stored reply must be at
+           least 5x faster than re-discovering the CFG. Too noisy to
+           assert on the seconds-long smoke subjects; the full bench
+           asserts it. *)
         if not smoke then
           check
-            (name ^ ": cached hit beats cold parse")
+            (name ^ ": cached hit at least 5x faster than cold parse")
             (json_num s [ "cached_hit_run_us" ] > 0.0
-            && json_num s [ "cached_hit_run_us" ]
-               < json_num s [ "cold_run_us" ]))
+            && json_num s [ "hit_speedup" ] >= 5.0))
       subs
   | _ -> check "subjects present" false);
   check "overload: load was shed"

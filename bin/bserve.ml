@@ -98,8 +98,8 @@ let cache =
     & opt (some string) None
     & info [ "cache" ] ~docv:"DIR"
         ~doc:
-          "Content-addressed result cache directory (parse checkpoints \
-           replayed on hit); omitted = no cache")
+          "Result cache directory: parse replies stored by image content \
+           and analysis config, read back on a hit; omitted = no cache")
 
 let retries =
   Arg.(

@@ -56,6 +56,6 @@ val apply :
     (checkpoint v2, [Op_ret]) — a decoded return point is a monotone
     fact, so re-seeding merely confirms it, and a complete artifact (no
     pending frontier, no candidates) can skip the re-walk altogether and
-    go straight to finalization (the serve-layer cache-hit path).
+    go straight to finalization.
     [Noreturn] stays derived: under a cut deadline it may only mean "not
     found yet", and a replayed Noreturn would pin set_returns shut. *)

@@ -1,37 +1,14 @@
 module Recover = Pbca_core.Recover
-
-(* Two tiers: the disk artifacts (durable, CRC-checked, survive restart)
-   and a bounded in-memory map of already-decoded plans in front of them.
-   The memory tier only ever holds plans that came from a successful disk
-   load or promote, so it can never outlive the artifact's integrity
-   guarantees — every mutation of the disk layer (promote, drop, rot,
-   clear) invalidates it first. *)
-
-let mem_cap = 64
+module Config = Pbca_core.Config
 
 type t = {
   dir : string;
-  seq : int Atomic.t;  (* unique staging suffixes within one daemon *)
-  mem : (string, Recover.plan) Hashtbl.t;
-  mem_mu : Mutex.t;
+  seq : int Atomic.t;  (* unique staging suffixes within one process *)
 }
 
 let create ~dir =
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  { dir; seq = Atomic.make 0; mem = Hashtbl.create 16; mem_mu = Mutex.create () }
-
-let with_mem t f =
-  Mutex.lock t.mem_mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mem_mu) (fun () -> f ())
-
-let mem_find t k = with_mem t (fun () -> Hashtbl.find_opt t.mem k)
-
-let mem_store t k plan =
-  with_mem t (fun () ->
-      if Hashtbl.length t.mem >= mem_cap then Hashtbl.reset t.mem;
-      Hashtbl.replace t.mem k plan)
-
-let mem_evict t k = with_mem t (fun () -> Hashtbl.remove t.mem k)
+  { dir; seq = Atomic.make 0 }
 
 (* Content digest: two FNV-1a 64 passes with distinct offset bases, hex
    concatenated. Not cryptographic — the threat model is accidental
@@ -51,97 +28,92 @@ let key image =
     (fnv1a64 ~basis:0xCBF29CE484222325L image)
     (fnv1a64 ~basis:0x9AE16A3B2F90404FL image)
 
-let checkpoint_path t k = Filename.concat t.dir (k ^ ".cp")
-let journal_path t k = Filename.concat t.dir (k ^ ".journal")
+(* The whole record is marshalled, so a field added to Config.t joins the
+   digest without this function changing; only the deadline is zeroed.
+   No_sharing makes the bytes depend on field values alone, not on which
+   boxed floats happen to be shared. *)
+let reply_key config image =
+  let c = { config with Config.deadline_s = 0.0 } in
+  let bytes = Marshal.to_string c [ Marshal.No_sharing ] in
+  key image ^ "-" ^ Digest.to_hex (Digest.string bytes)
+
+let path t k ext = Filename.concat t.dir (k ^ ext)
+
+let staging t k ext =
+  let n = Atomic.fetch_and_add t.seq 1 in
+  Filename.concat t.dir (Printf.sprintf ".stage-%s-%d%s" k n ext)
+
+let unlink_quiet p = try Unix.unlink p with Unix.Unix_error _ -> ()
+
+let file_exists p = try (Unix.stat p).Unix.st_kind = Unix.S_REG with _ -> false
+
+(* Damage is a MISS, never an error: the stored reply is a derived
+   acceleration structure, so a rotten file must cost a recompute, not a
+   failed request. The frame's CRC catches torn and rotten bytes. *)
+let find t k =
+  let p = path t k ".reply" in
+  match In_channel.with_open_bin p In_channel.input_all with
+  | exception Sys_error _ -> None
+  | s -> (
+    match Wire.decode_reply (Bytes.of_string s) with
+    | Ok ({ Wire.rp_status = Wire.Ok_clean | Wire.Ok_degraded; _ } as r) ->
+      Some r
+    | Ok _ | Error _ ->
+      unlink_quiet p;
+      None)
+
+(* Rename-into-place: a concurrent reader sees the old complete reply or
+   the new one, never a half-written file. *)
+let store t k reply =
+  let tmp = staging t k ".reply" in
+  try
+    Out_channel.with_open_bin tmp (fun oc ->
+        Out_channel.output_bytes oc (Wire.encode_reply reply));
+    Unix.rename tmp (path t k ".reply")
+  with Sys_error _ | Unix.Unix_error _ -> unlink_quiet tmp
+
+(* Fault-injection helper: rot the stored reply in place the way
+   Mutate.corrupt_artifact damages recovery artifacts. *)
+let rot ~rng t k =
+  let p = path t k ".reply" in
+  if file_exists p then begin
+    let b = Bytes.of_string (In_channel.with_open_bin p In_channel.input_all) in
+    let rotten = Pbca_codegen.Mutate.corrupt_artifact ~rng b in
+    Out_channel.with_open_bin p (fun oc -> Out_channel.output_bytes oc rotten);
+    true
+  end
+  else false
 
 type staged = { st_checkpoint : string; st_journal : string }
 
 let stage t k =
-  let n = Atomic.fetch_and_add t.seq 1 in
-  let tmp ext =
-    Filename.concat t.dir (Printf.sprintf ".stage-%s-%d%s" k n ext)
-  in
-  { st_checkpoint = tmp ".cp"; st_journal = tmp ".journal" }
+  { st_checkpoint = staging t k ".cp"; st_journal = staging t k ".journal" }
 
-let unlink_quiet p = try Unix.unlink p with Unix.Unix_error _ -> ()
-
-(* Promotion is rename-into-place: a concurrent reader either sees the old
-   complete artifact pair or the new one, never a half-written file. The
-   pair is not atomic as a unit, but [lookup] treats any inconsistency as
-   a miss, so the worst case is one wasted recompute. *)
+(* The pair is not renamed as a unit, but [lookup] treats any
+   inconsistency as a miss, so the worst case is one wasted recompute. *)
 let promote t k staged =
-  mem_evict t k;
   try
-    Unix.rename staged.st_checkpoint (checkpoint_path t k);
-    Unix.rename staged.st_journal (journal_path t k);
+    Unix.rename staged.st_checkpoint (path t k ".cp");
+    Unix.rename staged.st_journal (path t k ".journal");
     true
   with Unix.Unix_error _ ->
     unlink_quiet staged.st_checkpoint;
     unlink_quiet staged.st_journal;
     false
 
-let discard staged =
-  unlink_quiet staged.st_checkpoint;
-  unlink_quiet staged.st_journal
-
-let file_exists p = try (Unix.stat p).Unix.st_kind = Unix.S_REG with _ -> false
-
-let drop t k =
-  mem_evict t k;
-  unlink_quiet (checkpoint_path t k);
-  unlink_quiet (journal_path t k)
-
-(* Corruption is a MISS, never an error: the artifacts are a derived
-   acceleration structure, so a rotten checkpoint must cost a recompute,
-   not a failed request. Recover's own trust model (checkpoint
-   authoritative, journal advisory) surfaces damage as a structured
-   error; we translate that to eviction + None. *)
+(* Recover's own trust model (checkpoint authoritative, journal advisory)
+   surfaces damage as a structured error; that becomes eviction + None. *)
 let lookup t k =
-  match mem_find t k with
-  | Some plan -> Some plan
-  | None ->
-    let cp = checkpoint_path t k in
-    if not (file_exists cp) then None
-    else
-      let j = journal_path t k in
-      let src =
-        { Recover.src_checkpoint = Some cp;
-          src_journal = (if file_exists j then Some j else None) }
-      in
-      (match Recover.load src with
-      | Ok plan ->
-        mem_store t k plan;
-        Some plan
-      | Error _ | (exception _) ->
-        drop t k;
-        None)
-
-(* Fault-injection helper: rot the cached checkpoint bytes in place the
-   way Mutate.corrupt_artifact damages recovery artifacts. *)
-let rot ~rng t k =
-  mem_evict t k;
-  let cp = checkpoint_path t k in
-  if file_exists cp then begin
-    let ic = open_in_bin cp in
-    let n = in_channel_length ic in
-    let b = Bytes.create n in
-    really_input ic b 0 n;
-    close_in ic;
-    let rotten = Pbca_codegen.Mutate.corrupt_artifact ~rng b in
-    let oc = open_out_bin cp in
-    output_bytes oc rotten;
-    close_out oc;
-    true
-  end
-  else false
-
-let clear t =
-  with_mem t (fun () -> Hashtbl.reset t.mem);
-  match Sys.readdir t.dir with
-  | entries ->
-    Array.iter
-      (fun e ->
-        if Filename.check_suffix e ".cp" || Filename.check_suffix e ".journal"
-        then unlink_quiet (Filename.concat t.dir e))
-      entries
-  | exception Sys_error _ -> ()
+  let cp = path t k ".cp" and j = path t k ".journal" in
+  if not (file_exists cp) then None
+  else
+    let src =
+      { Recover.src_checkpoint = Some cp;
+        src_journal = (if file_exists j then Some j else None) }
+    in
+    match Recover.load src with
+    | Ok plan -> Some plan
+    | Error _ | (exception _) ->
+      unlink_quiet cp;
+      unlink_quiet j;
+      None

@@ -8,8 +8,6 @@ module Trace = Pbca_obs.Trace
 module Image = Pbca_binfmt.Image
 module Parse_error = Pbca_binfmt.Parse_error
 module Parallel = Pbca_core.Parallel
-module Recover = Pbca_core.Recover
-module Finalize = Pbca_core.Finalize
 module Cfg = Pbca_core.Cfg
 module Summary = Pbca_core.Summary
 module Aconfig = Pbca_core.Config
@@ -67,7 +65,6 @@ type counters = {
   c_crashes : Metrics.counter;
   c_cache_hits : Metrics.counter;
   c_cache_misses : Metrics.counter;
-  c_cache_fallback : Metrics.counter;
   c_stalled : Metrics.counter;
   c_torn : Metrics.counter;
   c_draining : Metrics.counter;
@@ -191,85 +188,39 @@ let run_attempt t pool job ~attempt result_cell =
       h > 0
     in
     (match job.jb_req.Wire.rq_kind with
-    | Wire.Parse ->
-      let key = Cache.key job.jb_req.Wire.rq_image in
-      let use_cache = t.cache <> None && not job.jb_req.Wire.rq_no_cache in
-      (match job.jb_fault with
-      | Some Fault.Cache_rot ->
-        (match t.cache with
-        | Some c -> ignore (Cache.rot ~rng:t.rot_rng c key)
-        | None -> ())
-      | _ -> ());
-      let cached =
-        if use_cache then
-          match t.cache with
-          | Some c -> Cache.lookup c key
-          | None -> None
-        else None
+    | Wire.Parse -> (
+      (* the digest costs two passes over the image: take it only when a
+         lookup or an injected rot needs it *)
+      let key =
+        lazy (Cache.reply_key t.cfg.sc_analysis job.jb_req.Wire.rq_image)
       in
-      (match cached with
-      | Some plan ->
+      (match (t.cache, job.jb_fault) with
+      | Some c, Some Fault.Cache_rot ->
+        ignore (Cache.rot ~rng:t.rot_rng c (Lazy.force key))
+      | _ -> ());
+      let cache = if job.jb_req.Wire.rq_no_cache then None else t.cache in
+      match Option.bind cache (fun c -> Cache.find c (Lazy.force key)) with
+      | Some r ->
         Metrics.incr t.cnt.c_cache_hits;
-        (* Promoted artifacts come only from complete, non-degraded
-           parses, so the op stream already describes the final
-           quiescent graph: replay it and finalize, skipping decode and
-           traversal re-seeding entirely. Leftover jump-table frontier
-           entries are expected — terminally unresolved tables stay on
-           the frontier even at completion — but a candidate block means
-           undone discovery work, so that falls back to a full resumed
-           parse (it would mean a mid-parse artifact, which promote
-           excludes). *)
-        let g = Cfg.create ~config:acfg img in
-        ignore (Recover.apply g plan ~on_jt_pending:(fun ~end_:_ ~reg:_ -> ()));
-        let g =
-          if not (List.exists Cfg.is_candidate (Cfg.blocks_list g)) then begin
-            Finalize.run ~pool g;
-            g
-          end
-          else begin
-            Metrics.incr t.cnt.c_cache_fallback;
-            Parallel.parse_and_finalize ~config:acfg ~otrace:t.otrace
-              ~resume:plan ~pool img
-          end
-        in
         finish ~cache_hit:true
-          ~degraded:(Cfg.degraded_count g > 0 || heuristic g)
-          (body_of_parse g)
+          ~degraded:(r.Wire.rp_status = Wire.Ok_degraded)
+          r.Wire.rp_body
       | None ->
-        if use_cache then Metrics.incr t.cnt.c_cache_misses;
-        let staged =
-          if use_cache then
-            match t.cache with
-            | Some c -> Some (c, Cache.stage c key)
-            | None -> None
-          else None
-        in
-        let persist =
-          Option.map
-            (fun (_, s) ->
-              { Parallel.p_journal = s.Cache.st_journal;
-                p_checkpoint = s.Cache.st_checkpoint;
-                p_every = 4 })
-            staged
-        in
+        if cache <> None then Metrics.incr t.cnt.c_cache_misses;
         let g =
-          try Parallel.parse_and_finalize ~config:acfg ~otrace:t.otrace
-                ?persist ~pool img
-          with e ->
-            (* never leave half-written staging files behind a crash *)
-            Option.iter (fun (_, s) -> Cache.discard s) staged;
-            raise e
+          Parallel.parse_and_finalize ~config:acfg ~otrace:t.otrace ~pool img
         in
         let budget_cut = Cfg.degraded_count g > 0 in
-        Option.iter
-          (fun (c, s) ->
-            (* only full-fidelity results are worth replaying; a
-               budget-degraded artifact would pin the deadline cut
-               forever. Heuristic provenance is fine to cache — conf ops
-               are journaled, so replay reproduces the tags exactly. *)
-            if budget_cut then Cache.discard s else ignore (Cache.promote c key s))
-          staged;
-        finish ~degraded:(budget_cut || heuristic g) (body_of_parse g))
+        let degraded = budget_cut || heuristic g in
+        let body = body_of_parse g in
+        (* a budget-cut reply would pin the deadline cut forever; a
+           heuristic one is stored, and a hit keeps its Ok_degraded *)
+        let status = if degraded then Wire.Ok_degraded else Wire.Ok_clean in
+        if not budget_cut then
+          Option.iter
+            (fun c -> Cache.store c (Lazy.force key) (Wire.reply ~body status))
+            cache;
+        finish ~degraded body)
     | Wire.Hpcstruct ->
       let r = Pbca_hpcstruct.Hpcstruct.run_image ~config:acfg ~pool img in
       finish
@@ -528,7 +479,6 @@ let start ?(otrace = Trace.disabled) cfg =
       c_crashes = Metrics.counter metrics "serve_worker_crashes";
       c_cache_hits = Metrics.counter metrics "serve_cache_hits";
       c_cache_misses = Metrics.counter metrics "serve_cache_misses";
-      c_cache_fallback = Metrics.counter metrics "serve_cache_replay_fallback";
       c_stalled = Metrics.counter metrics "serve_stalled_clients";
       c_torn = Metrics.counter metrics "serve_torn_replies";
       c_draining = Metrics.counter metrics "serve_draining_replies";

@@ -17,9 +17,9 @@
       analysis through the PR3 {!Pbca_core.Config} deadline budget and
       returns [Ok_degraded] with a well-formed body.
 
-    Parse results are cached content-addressed ({!Cache}): a hit replays
-    the PR4 checkpoint + journal through {!Pbca_core.Recover} instead of
-    re-discovering the CFG; corrupt artifacts are a miss, never an error.
+    Parse replies are cached, keyed by image content and analysis config
+    ({!Cache}): a hit reads the stored reply instead of building a graph;
+    a damaged entry is a miss, never an error.
 
     Topology on the inside: [sc_acceptors] domains select/accept and do
     admission; [sc_workers] domains drain the queue, each with its own

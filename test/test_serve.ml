@@ -1,6 +1,6 @@
 (* The bserve daemon: wire-protocol totality, admission control and load
    shedding, end-to-end deadlines, supervised per-request isolation, the
-   content-addressed result cache (rot served as a miss), and the
+   result cache keyed by image and config (rot served as a miss), and the
    zero-loss drain discipline. Plus the two concurrency satellites:
    interruptible supervisor backoff and monotonic Fault.Delay. *)
 
@@ -244,8 +244,8 @@ let test_cache_hit_and_rot_as_miss () =
       Alcotest.(check bool) "second request hits" true hit.Wire.rp_cache_hit;
       Alcotest.(check string) "hit body identical to cold body"
         cold.Wire.rp_body hit.Wire.rp_body;
-      (* rot the cached checkpoint before the next lookup: the daemon
-         must treat it as a miss and still produce the identical result
+      (* rot the stored reply before the next lookup: the daemon must
+         treat it as a miss and still produce the identical result
          (arming resets the request-ordinal counter, so the next request
          draws ordinal 0) *)
       Fault.arm_service_at [ (0, Fault.Cache_rot) ];
@@ -421,7 +421,65 @@ let test_gap_confidence_in_reply () =
       in
       Alcotest.(check bool)
         (Printf.sprintf "reply census has heuristic entries (%d)" heur)
-        true (heur > 0))
+        true (heur > 0);
+      (* heuristic results are stored, and a hit keeps their status *)
+      let again = ok_roundtrip ~sock (Wire.request ~image:img Wire.Parse) in
+      Alcotest.(check bool) "repeat is a hit" true again.Wire.rp_cache_hit;
+      Alcotest.(check status)
+        "hit keeps the degraded status" Wire.Ok_degraded again.Wire.rp_status;
+      Alcotest.(check string) "hit body identical" r.Wire.rp_body
+        again.Wire.rp_body)
+
+(* Daemons run one after another over one cache directory. One with the
+   same config is answered from the stored reply alone (nothing of the
+   first daemon survives in memory), and so is one that differs only in
+   its deadline; one with a different analysis config must miss and
+   answer as a daemon without a cache does. *)
+let test_cache_keyed_by_config () =
+  let shared = Filename.temp_file "test_serve_cache" "" in
+  Sys.remove shared;
+  let img =
+    Pbca_binfmt.Image.write
+      (Pbca_codegen.Family.generate Pbca_codegen.Family.Stripped 0).Emit.image
+  in
+  let gap = { Config.default with Config.gap_parse = true } in
+  let parse ?(cached = true) analysis =
+    with_daemon
+      ~tweak:(fun c ->
+        { c with
+          Serve.sc_analysis = analysis;
+          sc_cache_dir = (if cached then Some shared else None) })
+      (fun _ sock -> ok_roundtrip ~sock (Wire.request ~image:img Wire.Parse))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (try
+         Array.iter
+           (fun e -> try Sys.remove (Filename.concat shared e) with _ -> ())
+           (Sys.readdir shared)
+       with Sys_error _ -> ());
+      try Unix.rmdir shared with Unix.Unix_error _ -> ())
+    (fun () ->
+      let first = parse Config.default in
+      Alcotest.(check bool) "first daemon misses" false first.Wire.rp_cache_hit;
+      let again = parse Config.default in
+      Alcotest.(check bool) "same config after restart hits" true
+        again.Wire.rp_cache_hit;
+      Alcotest.check status "same status" first.Wire.rp_status
+        again.Wire.rp_status;
+      Alcotest.(check string) "same body" first.Wire.rp_body again.Wire.rp_body;
+      (* only a budget cut depends on the deadline, and cut results are
+         never stored: a generous deadline keys like none *)
+      let timed = parse { Config.default with Config.deadline_s = 60.0 } in
+      Alcotest.(check bool) "deadline left out of the key" true
+        timed.Wire.rp_cache_hit;
+      let gapped = parse gap in
+      let fresh = parse ~cached:false gap in
+      Alcotest.(check bool) "other config misses" false gapped.Wire.rp_cache_hit;
+      Alcotest.check status "other config answers its own status"
+        fresh.Wire.rp_status gapped.Wire.rp_status;
+      Alcotest.(check string) "other config answers its own body"
+        fresh.Wire.rp_body gapped.Wire.rp_body)
 
 let suite =
   [
@@ -437,6 +495,8 @@ let suite =
       test_worker_crash_bounded;
     quick "daemon: cache hit; rot served as miss" test_cache_hit_and_rot_as_miss;
     quick "daemon: no-cache flag bypasses" test_no_cache_flag_bypasses;
+    quick "daemon: cache keyed by image and analysis config"
+      test_cache_keyed_by_config;
     quick "daemon: garbage frames answered Bad_frame" test_bad_frame_structured;
     quick "daemon: malformed image rejected, not retried" test_rejected_image;
     quick "daemon: drain loses zero in-flight requests" test_drain_zero_loss;
