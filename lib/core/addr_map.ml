@@ -4,7 +4,7 @@
    block lookups in [find_or_create_block], candidate checks against the
    global blocks map, function lookups — never take a lock. The mutex-
    sharded [Conc_hash] remains available for write-heavy tables (Symtab)
-   and as the bench comparison baseline. *)
+   and as the baseline test_concurrent times these reads against. *)
 include Pbca_concurrent.Lockfree_map.Make (struct
   type t = int
 

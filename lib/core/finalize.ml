@@ -85,7 +85,8 @@ let clean_jump_tables ~pool g =
 
 (* ------------------------------------------------------------------ *)
 (* Legacy whole-graph steps (serial reachability, full boundary and    *)
-(* rule passes each round). Kept as the baseline [run_legacy] path.    *)
+(* rule passes each round). Kept as [run_legacy], the reference the    *)
+(* finalize tests compare [run] against.                               *)
 
 let reachable_blocks g =
   let seen = Hashtbl.create 4096 in

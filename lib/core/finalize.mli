@@ -39,11 +39,11 @@
     under the [csr-build] / [csr-compact] phases, separate from
     [fz-step].
 
-    {!run_legacy} is the pre-snapshot baseline — serial hash-table
+    {!run_legacy} is the pre-snapshot path — serial hash-table
     reachability and whole-graph boundary/rule passes every round — kept
-    for the [bench finalize] comparison. Both paths produce
-    {!Cfg_diff}-identical graphs and record per-step wall timings into
-    the graph's [stats.finalize].
+    as the reference the finalize tests compare {!run} against. Both
+    paths produce {!Cfg_diff}-identical graphs and record per-step wall
+    timings into the graph's [stats.finalize].
 
     Afterwards, [f_blocks] holds each function's body, every dead edge and
     block is gone from the maps, and the CFG is read-only for clients
@@ -53,7 +53,7 @@ val run : pool:Pbca_concurrent.Task_pool.t -> Cfg.t -> unit
 (** Snapshot-indexed finalization (the default path). *)
 
 val run_legacy : pool:Pbca_concurrent.Task_pool.t -> Cfg.t -> unit
-(** Whole-graph baseline, semantically identical to {!run}. *)
+(** Whole-graph reference, semantically identical to {!run}. *)
 
 val clean_jump_tables : pool:Pbca_concurrent.Task_pool.t -> Cfg.t -> unit
 (** Step 1 alone (exposed for direct unit testing of the clamp rule). *)

@@ -2,11 +2,11 @@
     Chrome trace exporter.
 
     Deliberately tiny: a constructor per JSON value, a pretty-printing
-    emitter, a self-contained well-formedness validator (used by smoke
-    checks so a malformed report fails the build instead of shipping),
-    and path accessors for assertions over emitted documents. This is an
-    emitter, not a parser — [json_well_formed] validates text without
-    building a tree. *)
+    emitter, a self-contained well-formedness validator (used by the
+    bench gates and the trace tests so a malformed report fails instead
+    of shipping), and path accessors for assertions over emitted
+    documents. This is an emitter, not a parser — [json_well_formed]
+    validates text without building a tree. *)
 
 type json =
   | J_int of int

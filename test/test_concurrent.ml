@@ -23,6 +23,15 @@ module LMap = Pbca_concurrent.Lockfree_map.Make (struct
   let hash = Hashtbl.hash
 end)
 
+(* the mutex-sharded map with Addr_map's key hash: the baseline the
+   lock-free address maps replaced *)
+module MutexMap = Pbca_concurrent.Conc_hash.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash a = (a * 0x9E3779B1) lxor (a lsr 16)
+end)
+
 module ISet = Pbca_concurrent.Atomic_intset
 module Contention = Pbca_concurrent.Contention
 
@@ -214,6 +223,34 @@ let test_lmap_model =
         ops;
       List.for_all (fun (k, _) -> LMap.find m k = Hashtbl.find_opt h k) ops
       && LMap.length m = Hashtbl.length h)
+
+(* Read-heavy traffic, the shape of the parser's address maps: lock-free
+   reads must beat the mutex-sharded map they replaced. *)
+let test_lockfree_reads_beat_mutex () =
+  let keys = 512 and rounds = 50 in
+  let mutex = MutexMap.create ~shards:64 () in
+  let lockfree = Pbca_core.Addr_map.create ~shards:64 () in
+  for i = 0 to keys - 1 do
+    ignore (MutexMap.insert_if_absent mutex (i * 16) i);
+    ignore (Pbca_core.Addr_map.insert_if_absent lockfree (i * 16) i)
+  done;
+  let time_reads find () =
+    let t0 = Pbca_obs.Clock.now () in
+    for _ = 1 to rounds do
+      for i = 0 to keys - 1 do
+        ignore (find (i * 16) : int option)
+      done
+    done;
+    Pbca_obs.Clock.elapsed t0
+  in
+  let speedup =
+    median_paired_ratio ~pairs:5
+      (time_reads (MutexMap.find mutex))
+      (time_reads (Pbca_core.Addr_map.find lockfree))
+  in
+  if speedup <= 1.0 then
+    Alcotest.failf "lock-free reads at %.2fx the mutex-sharded map's speed"
+      speedup
 
 (* ----------------------------- atomic_intset --------------------------- *)
 
@@ -741,4 +778,6 @@ let suite =
     quick "conc_bag: concurrent adds and drain" test_bag;
     quick "thread_local: per-domain instances" test_thread_local;
     quick "barrier: cyclic phases" test_barrier_cyclic;
+    quick "lockfree_map: reads beat the mutex-sharded map"
+      test_lockfree_reads_beat_mutex;
   ]

@@ -208,7 +208,8 @@ let rule2_static_entry_guard () =
   check_kind "tail call to a static entry stays" C.Tail_call e
 
 (* ---------------------------------------------------------------- *)
-(* Fuzz: generated subjects, several seeds. The snapshot path at 1 and 4
+(* Fuzz: generated subjects, several seeds, from a 25-function default
+   profile to a 300-function coreutils one. The snapshot path at 1 and 4
    threads and the legacy whole-graph path must all produce Cfg_diff- and
    Summary-identical graphs. *)
 
@@ -228,23 +229,31 @@ let assert_graphs_equal what a b =
       (String.concat "\n" (Pbca_core.Summary.diff sa sb))
 
 let fuzz_paths () =
-  for i = 0 to 3 do
-    let p =
-      {
-        (Profile.coreutils_like (90 + i)) with
-        Profile.seed = 99_000 + (i * 7);
-      }
-    in
-    let r = Emit.generate p in
-    let tag = Printf.sprintf "seed %d" p.Profile.seed in
-    let snap1 = parse_parallel ~threads:1 r.Emit.image in
-    let snap4 = parse_parallel ~threads:4 r.Emit.image in
-    assert_graphs_equal (tag ^ ": snapshot 1 vs 4 threads") snap1 snap4;
-    let pool = TP.create ~threads:1 in
-    let legacy = Pbca_core.Parallel.parse ~pool r.Emit.image in
-    Pbca_core.Finalize.run_legacy ~pool legacy;
-    assert_graphs_equal (tag ^ ": legacy vs snapshot") legacy snap1
-  done
+  let subjects =
+    List.init 4 (fun i ->
+        {
+          (Profile.coreutils_like (90 + i)) with
+          Profile.seed = 99_000 + (i * 7);
+        })
+    @ [
+        { Profile.default with Profile.n_funcs = 25; seed = 11 };
+        { (Profile.coreutils_like 1) with Profile.n_funcs = 300; seed = 9001 };
+      ]
+  in
+  List.iter
+    (fun p ->
+      let r = Emit.generate p in
+      let tag = Printf.sprintf "seed %d" p.Profile.seed in
+      let snap1 = parse_parallel ~threads:1 r.Emit.image in
+      let snap4 = parse_parallel ~threads:4 r.Emit.image in
+      assert_graphs_equal (tag ^ ": snapshot 1 vs 4 threads") snap1 snap4;
+      let pool = TP.create ~threads:1 in
+      let legacy = Pbca_core.Parallel.parse ~pool r.Emit.image in
+      Pbca_core.Finalize.run_legacy ~pool legacy;
+      assert_graphs_equal (tag ^ ": legacy vs snapshot") legacy snap1;
+      if snap1.C.stats.C.finalize.C.fz_rounds < 1 then
+        Alcotest.failf "%s: finalize ran no round" tag)
+    subjects
 
 let suite =
   [

@@ -253,11 +253,11 @@ let test_families_explained () =
       check_clean r.Emit.ground_truth (parse_parallel r.Emit.image))
     [ Family.Overlap; Family.Obfuscated ]
 
-(* Microsmoke slice of the bench gate: aggregate entry-discovery precision
-   and recall on stripped subjects. The full gate runs over more members in
-   `bench robustness`; this keeps a tripwire in every `dune runtest`. *)
+(* Aggregate entry-discovery precision and recall on the first stripped
+   members, with the gates of `bench robustness`, which runs 16 members. *)
 let test_stripped_precision_recall_gate () =
   let relevant = ref 0 and found = ref 0 and spurious = ref 0 in
+  let heuristic = ref 0 and accepted = ref 0 in
   for i = 0 to 2 do
     let r = Family.generate Family.Stripped i in
     let g = parse_gap r.Emit.image in
@@ -265,15 +265,22 @@ let test_stripped_precision_recall_gate () =
     let d = Checker.score_discovery r.Emit.ground_truth g in
     relevant := !relevant + d.Checker.ds_relevant;
     found := !found + d.Checker.ds_found;
-    spurious := !spurious + d.Checker.ds_spurious
+    spurious := !spurious + d.Checker.ds_spurious;
+    heuristic := !heuristic + d.Checker.ds_found_heuristic;
+    let _, _, acc, _ = gap_stats g in
+    accepted := !accepted + acc
   done;
   let precision = float_of_int !found /. float_of_int (!found + !spurious) in
   let recall = float_of_int !found /. float_of_int !relevant in
   if precision < 0.95 then
     Alcotest.failf "precision %.4f below gate 0.95" precision;
-  if recall < 0.90 then Alcotest.failf "recall %.4f below gate 0.90" recall
+  if recall < 0.90 then Alcotest.failf "recall %.4f below gate 0.90" recall;
+  Alcotest.(check bool) "heuristic entries found" true (!heuristic > 0);
+  Alcotest.(check bool) "gap entries accepted" true (!accepted > 0)
 
-(* Strip_symtab mutants (the PR9 fuzz axis) must never crash a gap parse. *)
+(* Strip_symtab mutants must never crash a gap parse; nor may the first
+   60 mutants of `bench robustness`'s gap fuzz corpus, which draws every
+   mutation axis, Strip_symtab among them. *)
 let test_strip_mutants_no_crash () =
   let pool = Pbca_concurrent.Task_pool.create ~threads:4 in
   for s = 0 to 15 do
@@ -285,7 +292,30 @@ let test_strip_mutants_no_crash () =
     | Ok mutant -> (
       try ignore (Parallel.parse_and_finalize ~config:gap_cfg ~pool mutant)
       with Parse_error.Error _ -> ())
-  done
+  done;
+  let pool = Pbca_concurrent.Task_pool.create ~threads:2 in
+  let config = { gap_cfg with Config.deadline_s = 2.0 } in
+  let bases =
+    [
+      (Emit.generate (Profile.coreutils_like 1)).Emit.image;
+      (Emit.generate (Profile.coreutils_like 2)).Emit.image;
+      (Family.generate Family.Stripped 0).Emit.image;
+    ]
+  in
+  let strip_drawn = ref 0 in
+  for s = 1 to 60 do
+    let rng = Rng.create (0x9000 + s) in
+    let kind, bytes = Mutate.mutate ~rng (List.nth bases (s mod 3)) in
+    if kind = Mutate.Strip_symtab then incr strip_drawn;
+    match Image.read_result bytes with
+    | Error _ -> ()
+    | Ok mutant -> (
+      try ignore (Parallel.parse_and_finalize ~config ~pool mutant)
+      with e ->
+        Alcotest.failf "mutant %d crashed the gap parse: %s" s
+          (Printexc.to_string e))
+  done;
+  Alcotest.(check bool) "Strip_symtab drawn" true (!strip_drawn > 0)
 
 (* ---------------- crash-resume through the gap phase ------------------ *)
 

@@ -137,7 +137,11 @@ let test_trace_chrome_json () =
   | [] -> Alcotest.fail "no phase breakdown"
   | phases ->
     Alcotest.(check bool) "total phase present" true
-      (List.mem_assoc "total" phases)
+      (List.mem_assoc "total" phases);
+    Alcotest.(check bool) "finalize phase wall recorded" true
+      (match List.assoc_opt "finalize" phases with
+      | Some w -> w > 0.0
+      | None -> false)
 
 (* Per-domain span discipline: every span on a domain comes from that
    domain's (synchronous) call stack, so sorted by start time they must
@@ -208,6 +212,44 @@ let test_trace_span_discipline () =
         sps)
     by_tid
 
+(* Tracing stays cheap: traced over untraced parse wall, and the span
+   coverage of the traced wall, each a median over alternating pairs. The
+   subject parses in tens of milliseconds; a parse of a millisecond or two
+   measures the scheduler, not the tracer. *)
+let test_trace_overhead () =
+  let r =
+    Pbca_codegen.Emit.generate
+      { (Profile.coreutils_like 1) with Profile.n_funcs = 400 }
+  in
+  let pool = TP.create ~threads:2 in
+  let parse ?otrace () =
+    let t0 = Clock.now () in
+    ignore
+      (Pbca_core.Parallel.parse_and_finalize ?otrace ~pool
+         r.Pbca_codegen.Emit.image
+        : Pbca_core.Cfg.t);
+    Clock.elapsed t0
+  in
+  (* warm-up: fault pages in and fill the image's decode cache, so both
+     sides of every pair see the same cache state *)
+  ignore (parse ());
+  let coverage = ref [] in
+  let traced () =
+    let t = Otrace.create () in
+    let w = parse ~otrace:t () in
+    coverage := (Otrace.covered_wall t /. w) :: !coverage;
+    w
+  in
+  let overhead =
+    Tutil.median_paired_ratio ~pairs:10 traced (fun () -> parse ())
+  in
+  let coverage = Tutil.median !coverage in
+  if overhead >= 2.0 then
+    Alcotest.failf "tracing overhead %.2fx (bound 2.0)" overhead;
+  if coverage < 0.95 then
+    Alcotest.failf "spans cover %.3f of the traced parse wall (bound 0.95)"
+      coverage
+
 let test_trace_disabled_is_free () =
   let t = Otrace.disabled in
   Alcotest.(check bool) "disabled" false (Otrace.enabled t);
@@ -232,4 +274,6 @@ let suite =
       test_trace_span_discipline;
     Tutil.quick "trace: disabled trace records nothing"
       test_trace_disabled_is_free;
+    Tutil.slow "trace: overhead and span coverage, paired medians"
+      test_trace_overhead;
   ]

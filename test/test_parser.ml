@@ -482,7 +482,9 @@ let test_stats_sanity () =
   Alcotest.(check bool) "blocks" true (Atomic.get s.blocks_created > 0);
   Alcotest.(check bool) "edges" true (Atomic.get s.edges_created > 0);
   Alcotest.(check bool) "block count consistent" true
-    (List.length (Cfg.blocks_list g) <= Atomic.get s.blocks_created)
+    (List.length (Cfg.blocks_list g) <= Atomic.get s.blocks_created);
+  Alcotest.(check bool) "decode cache hits" true
+    (Pbca_binfmt.Decode_cache.hits r.image.Pbca_binfmt.Image.dcache > 0)
 
 let test_empty_image () =
   let tab = Pbca_binfmt.Symtab.create () in

@@ -53,13 +53,13 @@ let write_file path b =
     (fun () -> output_bytes oc b)
 
 (* crash a checkpointed parse at [ordinal], leaving artifacts behind *)
-let crashed_parse ?config ~ordinal ~cp ~j image =
+let crashed_parse ?config ?threads ~ordinal ~cp ~j image =
   let persist = { Parallel.p_journal = j; p_checkpoint = cp; p_every = 1 } in
   Fun.protect
     ~finally:(fun () -> Fault.disarm ())
     (fun () ->
       Fault.arm_at [ ordinal ] Fault.Crash;
-      try ignore (parse ?config ~persist image) with _ -> ())
+      try ignore (parse ?config ?threads ~persist image) with _ -> ())
 
 let load_plan ?(checkpoint = true) ~cp ~j () =
   Recover.load
@@ -256,6 +256,44 @@ let test_resume_equivalence () =
                 (Atomic.get g_res.Cfg.stats.Cfg.resume_count)))
       [ 40; 250; 700 ]
   done
+
+(* Resuming must cost less than redoing the work the kill threw away: the
+   resumed expansion's wall over that lost work must average under 2x.
+   Only expansion is timed, since finalization runs in full after a resume
+   too; below 20 ms of lost work the ratio is timer noise, so that is the
+   floor of the divisor. *)
+let test_resume_overhead () =
+  let threads = 2 and floor_s = 0.02 in
+  let pool = Pbca_concurrent.Task_pool.create ~threads in
+  let img = image_for 1 in
+  let timed f =
+    let t0 = Pbca_obs.Clock.now () in
+    ignore (f () : Cfg.t);
+    Pbca_obs.Clock.elapsed t0
+  in
+  let t_full = timed (fun () -> Parallel.parse ~pool img) in
+  let ratios =
+    List.map
+      (fun ordinal ->
+        with_artifacts (fun cp j ->
+            crashed_parse ~threads ~ordinal ~cp ~j img;
+            match load_plan ~cp ~j () with
+            | Error e ->
+              Alcotest.failf "kill %d: load failed: %s" ordinal
+                (Parse_error.to_string e)
+            | Ok plan ->
+              let t_resume =
+                timed (fun () -> Parallel.parse ~resume:plan ~pool img)
+              in
+              let lost = Float.max 0.0 (t_full -. plan.Recover.pl_progress_s) in
+              t_resume /. Float.max lost floor_s))
+      [ 60; 300 ]
+  in
+  let mean =
+    List.fold_left ( +. ) 0.0 ratios /. float_of_int (List.length ratios)
+  in
+  if mean >= 2.0 then
+    Alcotest.failf "resume costs %.2fx the lost work (bound 2.0)" mean
 
 let test_resume_torn_journal () =
   let img = image_for 2 in
@@ -509,4 +547,5 @@ let suite =
     quick "deadline clock: polls 1 in N" test_deadline_clock_coarsening;
     quick "deadline clock: latches after tripping" test_deadline_clock_latches;
     quick "deadline clock: free when unbounded" test_deadline_clock_infinite_free;
+    quick "resume: overhead under 2x the lost work" test_resume_overhead;
   ]

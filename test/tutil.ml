@@ -13,6 +13,29 @@ let qcheck ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count ~name gen prop)
 
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  let n = Array.length a in
+  if n land 1 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+
+(* Timing comparison for tests: the median over [pairs] of num () /. den (),
+   each closure returning its own measured cost. The order within a pair
+   alternates, so drift in machine load hits both sides alike, and the
+   median drops the pair a scheduling hiccup landed on. *)
+let median_paired_ratio ~pairs num den =
+  median
+    (List.init pairs (fun i ->
+         let n, d =
+           if i land 1 = 0 then
+             let n = num () in
+             (n, den ())
+           else
+             let d = den () in
+             (num (), d)
+         in
+         n /. d))
+
 (* Build a one-off spec around explicit function definitions. *)
 let mk_fspec ?(name = "f") ?(frame = true) ?cold ?secondary ?(cu = 0) blocks =
   {
