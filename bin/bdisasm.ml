@@ -48,7 +48,6 @@ let run path threads func_filter dot_out =
     funcs
 
 let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"BINARY")
-let threads = Arg.(value & opt int 4 & info [ "j"; "threads" ] ~doc:"Worker threads")
 
 let func =
   Arg.(value & opt (some string) None & info [ "f"; "func" ] ~doc:"Only this function")
@@ -62,6 +61,6 @@ let dot =
 let cmd =
   Cmd.v
     (Cmd.info "bdisasm" ~doc:"Disassemble a binary with CFG annotations")
-    Term.(const run $ path $ threads $ func $ dot)
+    Term.(const run $ path $ Pbca_cli.threads $ func $ dot)
 
 let () = exit (Cmd.eval cmd)

@@ -469,9 +469,6 @@ let seeds =
 
 let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Base seed")
 
-let threads =
-  Arg.(value & opt int 4 & info [ "j"; "threads" ] ~doc:"Worker threads")
-
 let deadline =
   Arg.(
     value & opt float 2.0
@@ -498,7 +495,7 @@ let cmd =
   Cmd.v
     (Cmd.info "bfuzz" ~doc:"Mutation-fuzz the binary parser")
     Term.(
-      const run $ file $ smoke $ serve $ seeds $ seed $ threads $ deadline
-      $ trace_out $ metrics)
+      const run $ file $ smoke $ serve $ seeds $ seed $ Pbca_cli.threads
+      $ deadline $ trace_out $ metrics)
 
 let () = exit (Cmd.eval' cmd)

@@ -31,7 +31,6 @@ let run dir threads top simulate =
   end
 
 let dir = Arg.(required & pos 0 (some dir) None & info [] ~docv:"CORPUS_DIR")
-let threads = Arg.(value & opt int 4 & info [ "j"; "threads" ] ~doc:"Worker threads")
 let top = Arg.(value & opt int 10 & info [ "top" ] ~doc:"Show the N most frequent features")
 
 let simulate =
@@ -40,6 +39,6 @@ let simulate =
 let cmd =
   Cmd.v
     (Cmd.info "binfeat" ~doc:"Extract forensic features from a corpus")
-    Term.(const run $ dir $ threads $ top $ simulate)
+    Term.(const run $ dir $ Pbca_cli.threads $ top $ simulate)
 
 let () = exit (Cmd.eval cmd)

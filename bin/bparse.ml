@@ -267,9 +267,6 @@ let run files threads dump serial diff_with checkpoint resume batch fault_crash
 
 let files = Arg.(value & pos_all file [] & info [] ~docv:"BINARY")
 
-let threads =
-  Arg.(value & opt int 4 & info [ "j"; "threads" ] ~doc:"Worker threads")
-
 let dump = Arg.(value & flag & info [ "funcs" ] ~doc:"Dump per-function details")
 let serial = Arg.(value & flag & info [ "serial" ] ~doc:"Use the serial parser")
 
@@ -345,7 +342,7 @@ let cmd =
     (Cmd.info "bparse" ~doc:"Construct and summarize a binary's CFG")
     Term.(
       ret
-        (const run $ files $ threads $ dump $ serial $ diff_with $ checkpoint
-       $ resume $ batch $ fault_crash $ trace_out $ metrics $ gap))
+        (const run $ files $ Pbca_cli.threads $ dump $ serial $ diff_with
+       $ checkpoint $ resume $ batch $ fault_crash $ trace_out $ metrics $ gap))
 
 let () = exit (Cmd.eval' cmd)

@@ -112,7 +112,6 @@ let run count threads verbose dir family gap =
   if !dirty > 0 then exit 1
 
 let count = Arg.(value & opt int 113 & info [ "n" ] ~doc:"Corpus size")
-let threads = Arg.(value & opt int 4 & info [ "j"; "threads" ] ~doc:"Worker threads")
 let verbose = Arg.(value & flag & info [ "v" ] ~doc:"Print every report")
 
 let dir =
@@ -141,6 +140,6 @@ let gap =
 let cmd =
   Cmd.v
     (Cmd.info "checker" ~doc:"Verify parsed CFGs against ground truth")
-    Term.(const run $ count $ threads $ verbose $ dir $ family $ gap)
+    Term.(const run $ count $ Pbca_cli.threads $ verbose $ dir $ family $ gap)
 
 let () = exit (Cmd.eval cmd)

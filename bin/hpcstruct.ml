@@ -37,7 +37,6 @@ let run path threads out simulate =
   | None -> ()
 
 let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"BINARY")
-let threads = Arg.(value & opt int 4 & info [ "j"; "threads" ] ~doc:"Worker threads")
 
 let out =
   Arg.(value & opt (some string) None & info [ "o" ] ~doc:"Write structure file")
@@ -48,6 +47,6 @@ let simulate =
 let cmd =
   Cmd.v
     (Cmd.info "hpcstruct" ~doc:"Recover program structure from a binary")
-    Term.(const run $ path $ threads $ out $ simulate)
+    Term.(const run $ path $ Pbca_cli.threads $ out $ simulate)
 
 let () = exit (Cmd.eval cmd)

@@ -14,6 +14,9 @@ type region = {
   pending : int Atomic.t; (* spawned-but-unfinished tasks *)
   failures : exn list Atomic.t;
   pool : t; (* owning pool: regions bump its counters *)
+  helpers_in : int Atomic.t;
+      (* hand-offs neither taken back nor finished: the opener returns only
+         at 0, so no helper still touches the region or its pool *)
 }
 
 let create ~threads =
@@ -101,32 +104,98 @@ let spin_limit = 64
 let sleep_base = 2e-6
 let sleep_cap = 2e-4
 
+(* One back-off step after [polls] fruitless polls in a row. *)
+let back_off polls =
+  if polls <= spin_limit then Domain.cpu_relax ()
+  else
+    let exp = min (polls - spin_limit) 7 in
+    Unix.sleepf (Float.min sleep_cap (sleep_base *. float_of_int (1 lsl exp)))
+
 (* Work until [region] has drained. The slot is saved/restored so a task
    that opens a nested region returns to its outer slot. *)
 let worker_loop region me =
   let saved = Domain.DLS.get slot_key in
   Domain.DLS.set slot_key me;
-  let idle_spins = ref 0 in
-  let rec loop () =
-    if Atomic.get region.pending = 0 then ()
-    else
+  let rec loop polls =
+    if Atomic.get region.pending > 0 then
       match find_work region me with
       | Some task ->
-        idle_spins := 0;
         run_task region task;
-        loop ()
+        loop 0
       | None ->
-        incr idle_spins;
-        if !idle_spins > spin_limit then begin
+        let polls = polls + 1 in
+        if polls > spin_limit then
           ignore (Atomic.fetch_and_add region.pool.idle_sleeps_ctr 1);
-          let exp = min (!idle_spins - spin_limit) 7 in
-          Unix.sleepf (Float.min sleep_cap (sleep_base *. float_of_int (1 lsl exp)))
-        end
-        else Domain.cpu_relax ();
-        loop ()
+        back_off polls;
+        loop polls
   in
-  loop ();
+  loop 0;
   Domain.DLS.set slot_key saved
+
+(* The crew: helper domains shared by every pool in the process and kept
+   alive between regions. A helper is an atomic job cell. An opener moves it from [Idle] to
+   [Assigned]; the helper claims the assignment by moving it to [Busy].
+   Each [Assigned] value is allocated for one hand-off, so a take-back
+   (a CAS from that value back to [Idle]) succeeds only while this very
+   assignment is unclaimed, never on a later region's hand-off to the same
+   helper. An idle helper retires after about [linger_sleeps] capped
+   back-off sleeps (20 ms), so an idle process runs no extra domain: every
+   live domain must join each stop-the-world minor collection. *)
+type job = Idle | Assigned of region * int | Busy | Retired
+
+let crew : job Atomic.t list Atomic.t = Atomic.make []
+let linger_sleeps = 100
+
+let rec update_crew f =
+  let cur = Atomic.get crew in
+  if not (Atomic.compare_and_set crew cur (f cur)) then update_crew f
+
+let rec helper_loop h polls =
+  match Atomic.get h with
+  | Assigned (region, slot) as a ->
+    if Atomic.compare_and_set h a Busy then begin
+      worker_loop region slot;
+      (* idle again before the opener can return, so its next region
+         finds this helper *)
+      Atomic.set h Idle;
+      Atomic.decr region.helpers_in;
+      helper_loop h 0
+    end
+    else helper_loop h polls
+  | Idle when polls > spin_limit + linger_sleeps ->
+    if Atomic.compare_and_set h Idle Retired then
+      update_crew (List.filter (fun h' -> h' != h))
+    else helper_loop h polls
+  | Idle ->
+    back_off (polls + 1);
+    helper_loop h (polls + 1)
+  | Busy | Retired -> assert false (* only the helper itself sets these *)
+
+(* Hand [region]'s slots [1 .. n - 1] to idle crew helpers, and spawn a
+   helper (which then joins the crew) for each slot none of them took.
+   Returns the hand-offs for the take-back. *)
+let hand_out region n =
+  let rec from_crew slot handed = function
+    | h :: rest when slot < n ->
+      let a = Assigned (region, slot) in
+      if Atomic.compare_and_set h Idle a then
+        from_crew (slot + 1) ((h, a) :: handed) rest
+      else from_crew slot handed rest
+    | _ -> (slot, handed)
+  in
+  let first_unfilled, handed = from_crew 1 [] (Atomic.get crew) in
+  let handed = ref handed in
+  for slot = first_unfilled to n - 1 do
+    let a = Assigned (region, slot) in
+    let h = Atomic.make a in
+    ignore
+      (Domain.spawn (fun () ->
+           update_crew (List.cons h);
+           helper_loop h 0)
+        : unit Domain.t);
+    handed := (h, a) :: !handed
+  done;
+  !handed
 
 let run_collect t root =
   let region =
@@ -135,15 +204,26 @@ let run_collect t root =
       pending = Atomic.make 1;
       failures = Atomic.make [];
       pool = t;
+      helpers_in = Atomic.make (t.n - 1);
     }
   in
   Wsdeque.push region.deques.(0) (fun () -> root (spawn_in region));
-  let helpers =
-    Array.init (t.n - 1) (fun i ->
-        Domain.spawn (fun () -> worker_loop region (i + 1)))
-  in
+  let handed = hand_out region t.n in
   worker_loop region 0;
-  Array.iter Domain.join helpers;
+  (* The region has drained. A helper that has not claimed its hand-off
+     yet is taken back; one that has is waited for, as [Domain.join]
+     would. *)
+  List.iter
+    (fun (h, a) ->
+      if Atomic.compare_and_set h a Idle then Atomic.decr region.helpers_in)
+    handed;
+  let rec await polls =
+    if Atomic.get region.helpers_in > 0 then begin
+      back_off (polls + 1);
+      await (polls + 1)
+    end
+  in
+  await 0;
   List.rev (Atomic.get region.failures)
 
 let raise_failures = function
@@ -176,10 +256,8 @@ let parallel_for t ?chunk lo hi f =
     if t.n = 1 || count <= chunk || hw_cores = 1 then begin
       (* Inline fast path: a single worker would execute every index
          anyway (one thread, one chunk, or one hardware core), so skip
-         the region entirely — spawning and joining [t.n - 1] domains
-         costs milliseconds per call on a loaded single-core box, which
-         is exactly the finalize bottleneck. [parallel_for] promises no
-         concurrency between bodies, so running them on the caller is
+         the region and its hand-off to the crew. [parallel_for] promises
+         no concurrency between bodies, so running them on the caller is
          observationally equal; the fault hook still fires once, like
          the single task a [threads:1] region would run. *)
       (match Fault.on_task () with

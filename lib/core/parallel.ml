@@ -412,10 +412,11 @@ let parse ?(config = Config.default) ?(trace = Pbca_simsched.Trace.disabled)
      corrupt the recorded progress or the deadline *)
   let t0 = Clock.now () in
   let sched0 = Task_pool.stats pool in
-  let g = Cfg.create ~config ~trace ~otrace image in
-  (* root span: everything below (replay, regions, rounds, durable I/O)
-     nests inside it, so span coverage accounts for the whole parse *)
+  (* root span: everything below (graph set-up, replay, regions, rounds,
+     durable I/O) nests inside it, so span coverage accounts for the
+     whole parse *)
   let root = Otrace.begin_span otrace ~phase:"total" "parse" in
+  let g = Cfg.create ~config ~trace ~otrace image in
   let ctx =
     {
       g;

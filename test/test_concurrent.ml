@@ -494,6 +494,100 @@ let test_pool_nested_fault () =
     (List.map Printexc.to_string outer_errs);
   Alcotest.(check int) "enclosing tasks unaffected" 8 (Atomic.get outer_done)
 
+(* Several domains open regions at once, each on its own pool, some of
+   them nested: every region runs exactly its tasks and reports exactly
+   its own failures. A hand-off taken back from the wrong region leaves
+   an opener waiting forever, so a deadline turns a hang into a failure. *)
+let test_pool_concurrent_openers () =
+  let openers = 3 and regions = 300 and tasks = 10 in
+  let ran = Atomic.make 0 and nested_ran = Atomic.make 0 in
+  let finished = Atomic.make 0 in
+  let open_regions d =
+    let pool = TP.create ~threads:(2 + (d mod 2)) in
+    let wrong = ref [] in
+    for r = 0 to regions - 1 do
+      let tag = Printf.sprintf "opener %d region %d" d r in
+      let errs =
+        TP.run_collect pool (fun spawn ->
+            for i = 0 to tasks - 1 do
+              spawn (fun () ->
+                  if r mod 7 = 0 && i = 3 then failwith tag;
+                  Atomic.incr ran;
+                  if r mod 11 = 0 && i = 5 then
+                    TP.run pool (fun spawn' ->
+                        for _ = 1 to 4 do
+                          spawn' (fun () -> Atomic.incr nested_ran)
+                        done))
+            done)
+      in
+      let got = List.map Printexc.to_string errs in
+      let expected =
+        if r mod 7 = 0 then [ Printexc.to_string (Failure tag) ] else []
+      in
+      if got <> expected then wrong := (tag, got) :: !wrong
+    done;
+    Atomic.incr finished;
+    !wrong
+  in
+  let ds = List.init openers (fun d -> Domain.spawn (fun () -> open_regions d)) in
+  let deadline = Unix.gettimeofday () +. 60.0 in
+  while Atomic.get finished < openers && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done;
+  if Atomic.get finished < openers then
+    Alcotest.failf "%d of %d openers still running after 60 s"
+      (openers - Atomic.get finished)
+      openers;
+  List.iter
+    (fun (tag, got) ->
+      Alcotest.failf "%s returned [%s]" tag (String.concat "; " got))
+    (List.concat_map Domain.join ds);
+  let count p = List.length (List.filter p (List.init regions Fun.id)) in
+  Alcotest.(check int) "every task that does not fail ran"
+    (openers * ((regions * tasks) - count (fun r -> r mod 7 = 0)))
+    (Atomic.get ran);
+  Alcotest.(check int) "every nested task ran"
+    (openers * 4 * count (fun r -> r mod 11 = 0))
+    (Atomic.get nested_ran)
+
+(* Back-to-back regions are handed to the same helper domains instead of
+   spawning one each, so they pay no spawn and force none of the minor
+   collections a terminating domain does. A helper left idle retires: a
+   region opened after a pause gets a fresh one. *)
+let test_pool_helpers_reused_then_retire () =
+  let pool = TP.create ~threads:2 in
+  let opener = Domain.self () in
+  let region () =
+    let seen = Bag.create () in
+    TP.run pool (fun spawn ->
+        for _ = 1 to 8 do
+          spawn (fun () ->
+              Unix.sleepf 0.0005;
+              if Domain.self () <> opener then Bag.add seen (Domain.self ()))
+        done);
+    List.sort_uniq compare (Bag.drain seen)
+  in
+  let regions = 50 in
+  let minor0 = (Gc.quick_stat ()).minor_collections in
+  let used =
+    List.sort_uniq compare (List.concat (List.init regions (fun _ -> region ())))
+  in
+  let minors = (Gc.quick_stat ()).minor_collections - minor0 in
+  if List.length used > 3 then
+    Alcotest.failf "%d regions ran on %d helper domains" regions
+      (List.length used);
+  if minors >= regions then
+    Alcotest.failf "%d regions caused %d minor collections" regions minors;
+  (* pauses double from 50 ms, about 3 s in all, so a loaded host that
+     delays the helper's retirement cannot fail the test *)
+  let rec poll pause =
+    Unix.sleepf pause;
+    if not (List.exists (fun d -> not (List.mem d used)) (region ())) then
+      if pause < 1.0 then poll (pause *. 2.0)
+      else Alcotest.fail "no region got a fresh helper after idling"
+  in
+  poll 0.05
+
 let test_parallel_for_fault_containment () =
   let pool = TP.create ~threads:4 in
   let hits = Array.make 200 0 in
@@ -764,6 +858,10 @@ let suite =
     quick "task_pool: run_collect contains failures" test_pool_run_collect;
     quick "task_pool: nested run drains" test_pool_nested_run;
     quick "task_pool: nested fault contained" test_pool_nested_fault;
+    quick "task_pool: concurrent openers get their own results"
+      test_pool_concurrent_openers;
+    quick "task_pool: helpers reused, then retire when idle"
+      test_pool_helpers_reused_then_retire;
     quick "parallel_for: fault mid-range contained"
       test_parallel_for_fault_containment;
     quick "fault injection: deterministic ordinals" test_fault_injection;
