@@ -19,7 +19,7 @@
 module Profile = Pbca_codegen.Profile
 module Emit = Pbca_codegen.Emit
 module Image = Pbca_binfmt.Image
-module Trace = Pbca_simsched.Trace
+module Trace = Pbca_obs.Trace
 module Replay = Pbca_simsched.Replay
 module TP = Pbca_concurrent.Task_pool
 module H = Pbca_hpcstruct.Hpcstruct
@@ -716,17 +716,16 @@ let wild_bench () =
    and the per-phase wall breakdown. Writes BENCH_pr5.json.            *)
 
 let trace_report () =
-  let module Otrace = Pbca_obs.Trace in
   let reps = 5 in
   let threads = 4 in
   let pool = TP.create ~threads in
   let subjects = [ Profile.coreutils_like 1; Profile.coreutils_like 2 ] in
   let per_subject p =
     let r = Emit.generate p in
-    let time_once ?otrace () =
+    let time_once ?trace () =
       let t0 = Pbca_obs.Clock.now () in
       ignore
-        (Pbca_core.Parallel.parse_and_finalize ?otrace ~pool r.Emit.image
+        (Pbca_core.Parallel.parse_and_finalize ?trace ~pool r.Emit.image
           : Pbca_core.Cfg.t);
       Pbca_obs.Clock.elapsed t0
     in
@@ -738,18 +737,18 @@ let trace_report () =
       let w = time_once () in
       if w < !w_un then w_un := w
     done;
-    let best_t = ref Otrace.disabled and w_tr = ref infinity in
+    let best_t = ref Trace.disabled and w_tr = ref infinity in
     for _ = 1 to reps do
-      let t = Otrace.create () in
-      let w = time_once ~otrace:t () in
+      let t = Trace.create () in
+      let w = time_once ~trace:t () in
       if w < !w_tr then begin
         w_tr := w;
         best_t := t
       end
     done;
     let t = !best_t in
-    let spans = Otrace.spans t in
-    let coverage = Otrace.covered_wall t /. !w_tr in
+    let spans = Trace.spans t in
+    let coverage = Trace.covered_wall t /. !w_tr in
     let overhead = !w_tr /. !w_un in
     ( J_obj
         [
@@ -761,12 +760,12 @@ let trace_report () =
           ("spans", J_int (List.length spans));
           ("span_coverage_of_parse_wall", J_float coverage);
           ( "chrome_json_well_formed",
-            J_bool (json_well_formed (Otrace.to_chrome_string t)) );
+            J_bool (json_well_formed (Trace.to_chrome_string t)) );
           ( "phase_wall_ms",
             J_obj
               (List.map
                  (fun (ph, w) -> (ph, J_float (1000. *. w)))
-                 (Otrace.phase_walls t)) );
+                 (Trace.phase_walls t)) );
         ],
       (overhead, coverage) )
   in

@@ -30,7 +30,7 @@ module Fault = Pbca_concurrent.Fault
 module Mutate = Pbca_codegen.Mutate
 module Rng = Pbca_codegen.Rng
 module Profile = Pbca_codegen.Profile
-module Otrace = Pbca_obs.Trace
+module Trace = Pbca_obs.Trace
 module Clock = Pbca_obs.Clock
 module Metrics = Pbca_obs.Metrics
 module Serve = Pbca_serve.Serve
@@ -41,7 +41,7 @@ type outcome = Clean | Degraded | Malformed of string | Crash of string
 
 (* observability sinks shared by every mutant: spans append to [obs_trace],
    each mutant's per-run registry merges into [obs_metrics] *)
-type obs = { obs_trace : Otrace.t; obs_metrics : Metrics.t option }
+type obs = { obs_trace : Trace.t; obs_metrics : Metrics.t option }
 
 let record_metrics obs (g : Cfg.t) =
   match obs.obs_metrics with
@@ -54,7 +54,7 @@ let classify ~pool ~config ~obs bytes =
   | Ok img -> (
     try
       let g =
-        Pbca_core.Parallel.parse_and_finalize ~config ~otrace:obs.obs_trace
+        Pbca_core.Parallel.parse_and_finalize ~config ~trace:obs.obs_trace
           ~pool img
       in
       record_metrics obs g;
@@ -108,7 +108,7 @@ let classify_resume ~pool ~config ~obs ~rng ~clean_sum img =
           Fault.arm_at [ Rng.int rng 600 ] Fault.Crash;
           try
             ignore
-              (Parallel.parse_and_finalize ~config ~otrace:obs.obs_trace
+              (Parallel.parse_and_finalize ~config ~trace:obs.obs_trace
                  ~persist ~pool img)
           with _ -> ());
       corrupt_file ~rng (if Rng.bool rng 0.5 then cp else j);
@@ -120,7 +120,7 @@ let classify_resume ~pool ~config ~obs ~rng ~clean_sum img =
       | Ok plan -> (
         try
           let g =
-            Parallel.parse_and_finalize ~config ~otrace:obs.obs_trace
+            Parallel.parse_and_finalize ~config ~trace:obs.obs_trace
               ~resume:plan ~pool img
           in
           record_metrics obs g;
@@ -147,8 +147,8 @@ let make_obs ~trace_out ~metrics =
   {
     obs_trace =
       (match trace_out with
-      | Some _ -> Otrace.create ()
-      | None -> Otrace.disabled);
+      | Some _ -> Trace.create ()
+      | None -> Trace.disabled);
     obs_metrics = (if metrics then Some (Metrics.create ()) else None);
   }
 
@@ -156,9 +156,9 @@ let finish_obs obs ~trace_out code =
   (match trace_out with
   | None -> ()
   | Some path ->
-    Otrace.write_chrome obs.obs_trace path;
+    Trace.write_chrome obs.obs_trace path;
     Printf.printf "trace: %s (%d spans)\n" path
-      (List.length (Otrace.spans obs.obs_trace)));
+      (List.length (Trace.spans obs.obs_trace)));
   (match obs.obs_metrics with
   | None -> ()
   | Some acc ->
@@ -296,7 +296,7 @@ let run_serve ~seeds ~base_seed ~obs =
   in
   let failures = ref [] in
   let fail s msg = failures := (base_seed + s, msg) :: !failures in
-  let t = Serve.start ~otrace:obs.obs_trace cfg in
+  let t = Serve.start ~trace:obs.obs_trace cfg in
   Fun.protect
     ~finally:(fun () ->
       Fault.disarm_service ();

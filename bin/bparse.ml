@@ -27,7 +27,7 @@ module Recover = Pbca_core.Recover
 module Parse_error = Pbca_binfmt.Parse_error
 module Fault = Pbca_concurrent.Fault
 module Supervisor = Pbca_concurrent.Supervisor
-module Otrace = Pbca_obs.Trace
+module Trace = Pbca_obs.Trace
 module Clock = Pbca_obs.Clock
 
 type opts = {
@@ -95,7 +95,7 @@ let report_cfg ~opts ~dt path g =
    (the operator asked to resume; lying about it would hide corruption),
    [`Best_effort] falls back to a fresh parse (a supervised restart must
    make progress even when the crash mangled the artifacts). *)
-let run_one ~pool ~opts ~otrace ~persist ~resume_mode ~attempt path :
+let run_one ~pool ~opts ~trace ~persist ~resume_mode ~attempt path :
     Supervisor.outcome =
   match
     try Ok (Pbca_binfmt.Image.load path) with Parse_error.Error e -> Error e
@@ -141,7 +141,7 @@ let run_one ~pool ~opts ~otrace ~persist ~resume_mode ~attempt path :
         let g =
           if opts.serial then Pbca_core.Serial.parse_and_finalize ?config image
           else
-            Parallel.parse_and_finalize ?config ~otrace ?persist ?resume ~pool
+            Parallel.parse_and_finalize ?config ~trace ?persist ?resume ~pool
               image
         in
         Atomic.set g.Cfg.stats.Cfg.supervisor_restarts attempt;
@@ -171,10 +171,10 @@ let outcome_str = function
 
 let main files opts checkpoint resume batch fault_crash trace_out =
   let pool = Pbca_concurrent.Task_pool.create ~threads:opts.threads in
-  let otrace =
+  let trace =
     match trace_out with
-    | Some _ -> Otrace.create ()
-    | None -> Otrace.disabled
+    | Some _ -> Trace.create ()
+    | None -> Trace.disabled
   in
   let nfiles = List.length files in
   let arts_for i = Option.map (fun b -> artifacts b ~idx:i ~nfiles) checkpoint in
@@ -182,11 +182,11 @@ let main files opts checkpoint resume batch fault_crash trace_out =
     (match trace_out with
     | None -> ()
     | Some path ->
-      Otrace.write_chrome otrace path;
+      Trace.write_chrome trace path;
       let wall = !parse_wall_total in
-      let cov = Otrace.covered_wall otrace in
+      let cov = Trace.covered_wall trace in
       Format.printf "trace: %s (%d spans, %.1f%% of %.3fs parse wall)@." path
-        (List.length (Otrace.spans otrace))
+        (List.length (Trace.spans trace))
         (if wall > 0.0 then 100.0 *. cov /. wall else 0.0)
         wall);
     code
@@ -215,12 +215,12 @@ let main files opts checkpoint resume batch fault_crash trace_out =
                       | Some a when attempt > 0 || resume -> `Best_effort a
                       | _ -> `No
                     in
-                    run_one ~pool ~opts ~otrace ~persist:(persist_of arts)
+                    run_one ~pool ~opts ~trace ~persist:(persist_of arts)
                       ~resume_mode ~attempt path));
           })
         files
     in
-    let reports = Supervisor.run ~trace:otrace jobs in
+    let reports = Supervisor.run ~trace jobs in
     List.iter
       (fun (r : Supervisor.report) ->
         Printf.printf "%s: %s (%d restart%s)\n" r.r_id (outcome_str r.r_outcome)
@@ -241,7 +241,7 @@ let main files opts checkpoint resume batch fault_crash trace_out =
               match arts with Some a when resume -> `Strict a | _ -> `No
             in
             Supervisor.exit_code
-              (run_one ~pool ~opts ~otrace ~persist:(persist_of arts)
+              (run_one ~pool ~opts ~trace ~persist:(persist_of arts)
                  ~resume_mode ~attempt:0 path)))
       files
     |> List.fold_left max 0

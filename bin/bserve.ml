@@ -11,7 +11,7 @@
 open Cmdliner
 module Serve = Pbca_serve.Serve
 module Config = Pbca_core.Config
-module Otrace = Pbca_obs.Trace
+module Trace = Pbca_obs.Trace
 module Metrics = Pbca_obs.Metrics
 
 let run sock workers acceptors queue cache retries default_deadline_ms
@@ -23,8 +23,8 @@ let run sock workers acceptors queue cache retries default_deadline_ms
     (fun s -> try Sys.set_signal s (Sys.Signal_handle on_signal)
       with Invalid_argument _ -> ())
     [ Sys.sigint; Sys.sigterm ];
-  let otrace =
-    match trace_out with Some _ -> Otrace.create () | None -> Otrace.disabled
+  let trace =
+    match trace_out with Some _ -> Trace.create () | None -> Trace.disabled
   in
   let cfg =
     { (Serve.default_config ~sock) with
@@ -40,7 +40,7 @@ let run sock workers acceptors queue cache retries default_deadline_ms
         { Config.default with Config.deadline_s = analysis_deadline };
     }
   in
-  match Serve.start ~otrace cfg with
+  match Serve.start ~trace cfg with
   | exception Unix.Unix_error (e, fn, arg) ->
     Printf.eprintf "bserve: cannot start on %s: %s (%s %s)\n" sock
       (Unix.error_message e) fn arg;
@@ -68,7 +68,7 @@ let run sock workers acceptors queue cache retries default_deadline_ms
       Format.printf "%a@." Metrics.pp (Serve.metrics t);
     (match trace_out with
     | Some path ->
-      Otrace.write_chrome otrace path;
+      Trace.write_chrome trace path;
       Printf.printf "trace: %s\n" path
     | None -> ());
     Printf.printf "bserve: stopped\n%!";

@@ -31,7 +31,7 @@ let compute g (fv : Func_view.t) =
     (* each sweep visits every block: the fixpoint is superlinear in the
        function size, which is what makes data-flow extraction dominated by
        the largest functions (paper Section 8.3) *)
-    Pbca_simsched.Trace.tick g.Pbca_core.Cfg.trace n;
+    Pbca_obs.Trace.tick g.Pbca_core.Cfg.trace n;
     for i = n - 1 downto 0 do
       let out =
         List.fold_left

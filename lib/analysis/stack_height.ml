@@ -31,7 +31,7 @@ let compute g (fv : Func_view.t) =
     let changed = ref true in
     while !changed do
       changed := false;
-      Pbca_simsched.Trace.tick g.Pbca_core.Cfg.trace n;
+      Pbca_obs.Trace.tick g.Pbca_core.Cfg.trace n;
       for i = 0 to n - 1 do
         let inh =
           if i = entry then Height 0

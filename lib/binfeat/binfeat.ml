@@ -1,7 +1,7 @@
 module Cfg = Pbca_core.Cfg
 module Insn = Pbca_isa.Insn
 module Task_pool = Pbca_concurrent.Task_pool
-module Trace = Pbca_simsched.Trace
+module Trace = Pbca_obs.Trace
 
 type stage = {
   st_name : string;
@@ -154,7 +154,7 @@ let extract ?(config = Pbca_core.Config.default) ~pool images =
                 (fun (g, f) ->
                   let d = Trace.capture trace in
                   spawn (fun () ->
-                      Trace.run trace ~label:name ~deps:[ d ] (fun () ->
+                      Trace.with_task trace ~deps:[ d ] name (fun () ->
                           let fv = Pbca_analysis.Func_view.make g f in
                           let tbl = extractor g trace fv in
                           merge_into partials.(Task_pool.worker_index ()) tbl)))
@@ -165,7 +165,7 @@ let extract ?(config = Pbca_core.Config.default) ~pool images =
        final combine remains sequential) *)
     let merged = Hashtbl.create 4096 in
     Trace.barrier trace;
-    Trace.run trace ~label:(name ^ "-reduce") ~deps:[] (fun () ->
+    Trace.with_task trace ~deps:[] (name ^ "-reduce") (fun () ->
         Array.iter
           (fun p ->
             Trace.tick trace (Hashtbl.length p / 4);

@@ -20,7 +20,7 @@
 type stage = {
   st_name : string;  (** "cfg", "if", "cf" or "df" *)
   st_wall : float;
-  st_trace : Pbca_simsched.Trace.t;
+  st_trace : Pbca_obs.Trace.t;
   st_work : int;
 }
 
@@ -50,19 +50,19 @@ val bump : (string, int) Hashtbl.t -> string -> int -> unit
 
 val insn_features :
   Pbca_core.Cfg.t ->
-  Pbca_simsched.Trace.t ->
+  Pbca_obs.Trace.t ->
   Pbca_analysis.Func_view.t ->
   (string, int) Hashtbl.t
 
 val cf_features :
   Pbca_core.Cfg.t ->
-  Pbca_simsched.Trace.t ->
+  Pbca_obs.Trace.t ->
   Pbca_analysis.Func_view.t ->
   (string, int) Hashtbl.t
 
 val df_features :
   Pbca_core.Cfg.t ->
-  Pbca_simsched.Trace.t ->
+  Pbca_obs.Trace.t ->
   Pbca_analysis.Func_view.t ->
   (string, int) Hashtbl.t
 

@@ -11,7 +11,7 @@ type hit = {
 
 let function_vector g (f : Cfg.func) : vector =
   let fv = Pbca_analysis.Func_view.make g f in
-  let trace = Pbca_simsched.Trace.disabled in
+  let trace = Pbca_obs.Trace.disabled in
   let counts = Hashtbl.create 64 in
   let add tbl = Hashtbl.iter (fun k v -> Binfeat.bump counts k v) tbl in
   add (Binfeat.insn_features g trace fv);

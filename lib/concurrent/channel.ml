@@ -7,11 +7,11 @@ type 'a t = {
   not_empty : Condition.t;
   not_full : Condition.t;
   mutable closed : bool;
-  otrace : Pbca_obs.Trace.t;
+  trace : Pbca_obs.Trace.t;
   name : string;
 }
 
-let create ?(otrace = Pbca_obs.Trace.disabled) ?(name = "chan") ~capacity () =
+let create ?(trace = Pbca_obs.Trace.disabled) ?(name = "chan") ~capacity () =
   if capacity < 1 then invalid_arg "Channel.create: capacity must be >= 1";
   {
     cap = capacity;
@@ -20,7 +20,7 @@ let create ?(otrace = Pbca_obs.Trace.disabled) ?(name = "chan") ~capacity () =
     not_empty = Condition.create ();
     not_full = Condition.create ();
     closed = false;
-    otrace;
+    trace;
     name;
   }
 
@@ -39,21 +39,16 @@ let with_lock t f =
    span: producer spans mean the consumers are the bottleneck and vice
    versa. *)
 let wait_until t cond ready ~span_name =
-  if not (ready ()) then begin
-    let span =
-      if Pbca_obs.Trace.enabled t.otrace then
-        Some
-          (Pbca_obs.Trace.begin_span t.otrace ~phase:"channel"
-             (t.name ^ ":" ^ span_name))
-      else None
-    in
+  let wait () =
     while not (ready ()) do
       Condition.wait cond t.m
-    done;
-    match span with
-    | Some sp -> Pbca_obs.Trace.end_span t.otrace sp
-    | None -> ()
-  end
+    done
+  in
+  if not (ready ()) then
+    if Pbca_obs.Trace.enabled t.trace then
+      Pbca_obs.Trace.with_span t.trace ~phase:"channel"
+        (t.name ^ ":" ^ span_name) wait
+    else wait ()
 
 let push t x =
   Queue.push x t.q;

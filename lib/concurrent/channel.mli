@@ -28,7 +28,7 @@ exception Closed
     was not delivered). *)
 
 val create :
-  ?otrace:Pbca_obs.Trace.t -> ?name:string -> capacity:int -> unit -> 'a t
+  ?trace:Pbca_obs.Trace.t -> ?name:string -> capacity:int -> unit -> 'a t
 (** [capacity] must be [>= 1]. [name] prefixes the trace span labels. *)
 
 val send : 'a t -> 'a -> unit

@@ -36,7 +36,7 @@ and func = {
   f_name : string;
   f_from_symtab : bool;
   f_ret : ret_status Atomic.t;
-  f_ret_dep : Pbca_simsched.Trace.dep option Atomic.t;
+  f_ret_dep : Pbca_obs.Trace.dep option Atomic.t;
   f_waiters : waiter list Atomic.t;
   f_visited : Pbca_concurrent.Atomic_intset.t;
   mutable f_blocks : block list;
@@ -182,13 +182,12 @@ type t = {
          through [jemit] while attached. Single-writer: attached/detached
          only at quiescent points. *)
   stats : stats;
-  trace : Pbca_simsched.Trace.t;
-  otrace : Pbca_obs.Trace.t;
+  trace : Pbca_obs.Trace.t;
   metrics : Pbca_obs.Metrics.t;
 }
 
-let create ?(config = Config.default) ?(trace = Pbca_simsched.Trace.disabled)
-    ?(otrace = Pbca_obs.Trace.disabled) image =
+let create ?(config = Config.default) ?(trace = Pbca_obs.Trace.disabled)
+    image =
   let counters = Pbca_concurrent.Contention.create () in
   let amap () = Addr_map.create ~shards:config.Config.shards ~counters () in
   let static_entries = amap () in
@@ -196,74 +195,50 @@ let create ?(config = Config.default) ?(trace = Pbca_simsched.Trace.disabled)
     (fun (s : Pbca_binfmt.Symbol.t) ->
       ignore (Addr_map.insert_if_absent static_entries s.offset ()))
     (Pbca_binfmt.Symtab.functions image.Pbca_binfmt.Image.symtab);
-  let stats =
-    {
-      insns_decoded = Atomic.make 0;
-      blocks_created = Atomic.make 0;
-      splits = Atomic.make 0;
-      edges_created = Atomic.make 0;
-      jt_analyses = Atomic.make 0;
-      jt_unresolved = Atomic.make 0;
-      budget_block = Atomic.make 0;
-      budget_slice = Atomic.make 0;
-      budget_table = Atomic.make 0;
-      budget_deadline = Atomic.make 0;
-      task_failures = Pbca_concurrent.Conc_bag.create ();
-      contention = counters;
-      finalize = fresh_finalize_stats ();
-      journal_records = Atomic.make 0;
-      replayed_ops = Atomic.make 0;
-      resume_count = Atomic.make 0;
-      supervisor_restarts = Atomic.make 0;
-      deadline_checks = Atomic.make 0;
-      deadline_polls = Atomic.make 0;
-      sched_steals = Atomic.make 0;
-      sched_steal_attempts = Atomic.make 0;
-      sched_idle_sleeps = Atomic.make 0;
-      csr_deltas = Atomic.make 0;
-      csr_compactions = Atomic.make 0;
-      gap_gaps_scanned = Atomic.make 0;
-      gap_entries_proposed = Atomic.make 0;
-      gap_entries_accepted = Atomic.make 0;
-      gap_entries_rejected = Atomic.make 0;
-    }
-  in
-  (* Per-run metrics registry: the scattered hot-path atomics are adopted
+  (* Per-run metrics registry: every counter of [stats] is created in it
      by name (the registry holds the very cells the parse increments), so
      one [--metrics] dump or snapshot sees everything without the hot
      paths paying for the unification. *)
   let metrics = Pbca_obs.Metrics.create () in
+  let c = Pbca_obs.Metrics.counter metrics in
+  let stats =
+    {
+      insns_decoded = c "insns_decoded";
+      blocks_created = c "blocks_created";
+      splits = c "splits";
+      edges_created = c "edges_created";
+      jt_analyses = c "jt_analyses";
+      jt_unresolved = c "jt_unresolved";
+      budget_block = c "budget_block";
+      budget_slice = c "budget_slice";
+      budget_table = c "budget_table";
+      budget_deadline = c "budget_deadline";
+      task_failures = Pbca_concurrent.Conc_bag.create ();
+      contention = counters;
+      finalize = fresh_finalize_stats ();
+      journal_records = c "journal_records";
+      replayed_ops = c "replayed_ops";
+      resume_count = c "resume_count";
+      supervisor_restarts = c "supervisor_restarts";
+      deadline_checks = c "deadline_checks";
+      deadline_polls = c "deadline_polls";
+      sched_steals = c "sched_steals";
+      sched_steal_attempts = c "sched_steal_attempts";
+      sched_idle_sleeps = c "sched_idle_sleeps";
+      csr_deltas = c "csr_deltas";
+      csr_compactions = c "csr_compactions";
+      gap_gaps_scanned = c "gap_gaps_scanned";
+      gap_entries_proposed = c "gap_entries_proposed";
+      gap_entries_accepted = c "gap_entries_accepted";
+      gap_entries_rejected = c "gap_entries_rejected";
+    }
+  in
   let () =
-    let c = Pbca_obs.Metrics.register_counter metrics in
-    c "insns_decoded" stats.insns_decoded;
-    c "blocks_created" stats.blocks_created;
-    c "splits" stats.splits;
-    c "edges_created" stats.edges_created;
-    c "jt_analyses" stats.jt_analyses;
-    c "jt_unresolved" stats.jt_unresolved;
-    c "budget_block" stats.budget_block;
-    c "budget_slice" stats.budget_slice;
-    c "budget_table" stats.budget_table;
-    c "budget_deadline" stats.budget_deadline;
-    c "journal_records" stats.journal_records;
-    c "replayed_ops" stats.replayed_ops;
-    c "resume_count" stats.resume_count;
-    c "supervisor_restarts" stats.supervisor_restarts;
-    c "deadline_checks" stats.deadline_checks;
-    c "deadline_polls" stats.deadline_polls;
-    c "sched_steals" stats.sched_steals;
-    c "sched_steal_attempts" stats.sched_steal_attempts;
-    c "sched_idle_sleeps" stats.sched_idle_sleeps;
-    c "csr_deltas" stats.csr_deltas;
-    c "csr_compactions" stats.csr_compactions;
-    c "gap_gaps_scanned" stats.gap_gaps_scanned;
-    c "gap_entries_proposed" stats.gap_entries_proposed;
-    c "gap_entries_accepted" stats.gap_entries_accepted;
-    c "gap_entries_rejected" stats.gap_entries_rejected;
-    c "contention_probes" counters.Pbca_concurrent.Contention.probes;
-    c "contention_cas_retries" counters.Pbca_concurrent.Contention.cas_retries;
-    c "contention_resizes" counters.Pbca_concurrent.Contention.resizes;
-    c "contention_frozen_waits" counters.Pbca_concurrent.Contention.frozen_waits
+    let rc = Pbca_obs.Metrics.register_counter metrics in
+    rc "contention_probes" counters.Pbca_concurrent.Contention.probes;
+    rc "contention_cas_retries" counters.Pbca_concurrent.Contention.cas_retries;
+    rc "contention_resizes" counters.Pbca_concurrent.Contention.resizes;
+    rc "contention_frozen_waits" counters.Pbca_concurrent.Contention.frozen_waits
   in
   let t =
     {
@@ -287,7 +262,6 @@ let create ?(config = Config.default) ?(trace = Pbca_simsched.Trace.disabled)
       journal = None;
       stats;
       trace;
-      otrace;
       metrics;
     }
   in

@@ -64,7 +64,7 @@ and func = {
   f_name : string;
   f_from_symtab : bool;
   f_ret : ret_status Atomic.t;
-  f_ret_dep : Pbca_simsched.Trace.dep option Atomic.t;
+  f_ret_dep : Pbca_obs.Trace.dep option Atomic.t;
       (** trace progress point at which the status became [Returns]; tasks
           enabled by that status (call-fall-through parses) record it as a
           dependency so the replay model sees the noreturn serialization
@@ -230,20 +230,19 @@ type t = {
           mutation emits a {!Journal.op} while set. Attach/detach only at
           quiescent points (use {!set_journal}). *)
   stats : stats;
-  trace : Pbca_simsched.Trace.t;
-  otrace : Pbca_obs.Trace.t;
-      (** per-domain execution spans (real wall time, Chrome-exportable);
-          distinct from [trace], the replay-simulation DAG *)
+  trace : Pbca_obs.Trace.t;
+      (** the run recorder: per-domain phase spans (real wall time,
+          Chrome-exportable) and the parser's tasks, whose work units and
+          dependency edges the replay model reads *)
   metrics : Pbca_obs.Metrics.t;
-      (** per-run registry adopting every counter above by name (plus the
-          contention counters and decode-cache gauges), for [--metrics]
-          dumps and snapshot-diff scoping *)
+      (** per-run registry holding every counter above by name (plus the
+          adopted contention counters and the decode-cache gauges), for
+          [--metrics] dumps and snapshot-diff scoping *)
 }
 
 val create :
   ?config:Config.t ->
-  ?trace:Pbca_simsched.Trace.t ->
-  ?otrace:Pbca_obs.Trace.t ->
+  ?trace:Pbca_obs.Trace.t ->
   Pbca_binfmt.Image.t ->
   t
 

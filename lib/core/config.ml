@@ -2,7 +2,6 @@ type t = {
   eager_noreturn : bool;
   decode_cache : bool;
   jt_union : bool;
-  jt_max_scan : int;
   shards : int;
   max_block_bytes : int;
   max_slice_steps : int;
@@ -11,8 +10,6 @@ type t = {
   deadline_poll_every : int;
   csr_compact_threshold : float;
   gap_parse : bool;
-  gap_align : int;
-  gap_max_rounds : int;
 }
 
 let default =
@@ -20,7 +17,6 @@ let default =
     eager_noreturn = true;
     decode_cache = true;
     jt_union = true;
-    jt_max_scan = 128;
     shards = 128;
     max_block_bytes = 65536;
     max_slice_steps = 4096;
@@ -29,6 +25,4 @@ let default =
     deadline_poll_every = 32;
     csr_compact_threshold = 0.25;
     gap_parse = false;
-    gap_align = 16;
-    gap_max_rounds = 8;
   }

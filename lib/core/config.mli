@@ -15,8 +15,6 @@ type t = {
       (** take the union of jump-table targets over analyzable paths instead
           of failing the whole table when one path resists analysis
           (paper Section 5.3) *)
-  jt_max_scan : int;
-      (** over-approximation cap when no bound is recoverable *)
   shards : int;  (** shard count for the concurrent maps *)
   max_block_bytes : int;
       (** decode-byte budget per block scan; a block that keeps decoding
@@ -26,9 +24,10 @@ type t = {
       (** instruction-visit budget for one jump-table backward slice; on
           exhaustion the table degrades to unresolved. 0 disables. *)
   max_table_entries : int;
-      (** cap on materialized entries per jump table, below which
-          [jt_max_scan] and recovered bounds operate normally; a table cut
-          by this cap degrades to unresolved. 0 disables. *)
+      (** cap on materialized entries per jump table, below which the
+          over-approximation cap of an unbounded table (128 entries) and
+          recovered bounds operate normally; a table cut by this cap
+          degrades to unresolved. 0 disables. *)
   deadline_s : float;
       (** global work-unit deadline in seconds, measured from [Cfg.create];
           once past, remaining parse/traversal/table work is skipped and
@@ -50,15 +49,6 @@ type t = {
           through the normal traversal, tagging everything discovered
           this way [From_heuristic]. Off by default: symbol-rich binaries
           don't need it and clients must opt into heuristic results. *)
-  gap_align : int;
-      (** alignment modulus of the gap-entry alignment heuristic: an
-          aligned gap offset whose bytes decode to a frame-setup prologue
-          is proposed as an entry. 0 disables the alignment heuristic
-          (prologue and call-target proposals still run). *)
-  gap_max_rounds : int;
-      (** bound on gap-scan rounds (each round re-scans the gaps left by
-          the previous one's discoveries); hostile images cannot keep the
-          scanner alive past this many rounds *)
 }
 
 val default : t

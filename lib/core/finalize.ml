@@ -3,7 +3,7 @@ module Section = Pbca_binfmt.Section
 module Task_pool = Pbca_concurrent.Task_pool
 module Atomic_intset = Pbca_concurrent.Atomic_intset
 module Frontier = Pbca_concurrent.Frontier
-module Trace = Pbca_simsched.Trace
+module Trace = Pbca_obs.Trace
 
 (* ------------------------------------------------------------------ *)
 (* Per-step observability: both entry points reset the graph's         *)
@@ -13,7 +13,7 @@ module Trace = Pbca_simsched.Trace
 (* span in the graph's observability trace.                            *)
 
 let timed ?(phase = "fz-step") g name cell f =
-  Pbca_obs.Trace.with_span g.Cfg.otrace ~phase name (fun () ->
+  Trace.with_span g.Cfg.trace ~phase name (fun () ->
       let t0 = Pbca_obs.Clock.now () in
       let r = f () in
       cell (Pbca_obs.Clock.elapsed t0);
@@ -703,7 +703,7 @@ let run ~pool g =
   timed g "bounds" (t_bounds fz) (fun () ->
       Task_pool.parallel_for pool 0 (Array.length funcs) (fun i ->
           let f = funcs.(i) in
-          Trace.run g.Cfg.trace ~label:"bounds" ~deps:[] (fun () ->
+          Trace.with_task g.Cfg.trace ~deps:[] "bounds" (fun () ->
               f.Cfg.f_blocks <- boundary_blocks_snap g !snap f)));
   (* instruction counts are approximate during parsing (splits shrink
      blocks concurrently); recompute them from the final block extents —

@@ -35,7 +35,7 @@ let slice_preds (b : Cfg.block) =
    which the caller records as a [B_slice] degradation. *)
 let rec resolve g ~steps ~exhausted (block : Cfg.block) insns idx reg depth :
     value list * bool =
-  Pbca_simsched.Trace.tick g.Cfg.trace 1;
+  Pbca_obs.Trace.tick g.Cfg.trace 1;
   if depth <= 0 then ([], false)
   else begin
     let rec scan i =
@@ -139,9 +139,12 @@ let valid_unbounded_target g addr =
   && (not (is_static_entry g addr))
   && Option.is_some (Image.decode_at g.Cfg.image addr)
 
+(* Over-approximation cap on a table whose bound is not recoverable. *)
+let max_scan = 128
+
 (* The third result is true when the scan was cut by the
    [max_table_entries] budget while entries were still flowing — as opposed
-   to stopping at the recovered bound or the [jt_max_scan]
+   to stopping at the recovered bound or the [max_scan]
    over-approximation cap, which are normal outcomes. *)
 let read_table g ~base ~scale ~bound =
   let image = g.Cfg.image in
@@ -161,10 +164,9 @@ let read_table g ~base ~scale ~bound =
   | None ->
     (* over-approximating scan: accept entries while they look like code
        addresses that are not known function entries *)
-    let cap = g.Cfg.config.Config.jt_max_scan in
     let rec go i acc =
-      if i >= min cap limit then
-        (List.rev acc, i, i >= limit && limit < cap)
+      if i >= min max_scan limit then
+        (List.rev acc, i, i >= limit && limit < max_scan)
       else
         match read i with
         | Some t when valid_unbounded_target g t -> go (i + 1) (t :: acc)
@@ -185,7 +187,7 @@ let analyze g (block : Cfg.block) reg : outcome =
   Atomic.incr g.Cfg.stats.jt_analyses;
   let insns = Disasm.block_insns g block in
   let n = List.length insns in
-  Pbca_simsched.Trace.tick g.Cfg.trace (8 * n);
+  Pbca_obs.Trace.tick g.Cfg.trace (8 * n);
   let budget = Cfg.effective_budget g.Cfg.config.Config.max_slice_steps in
   let steps = ref (if budget > 0 then budget else max_int) in
   let exhausted = ref false in
@@ -215,7 +217,7 @@ let analyze g (block : Cfg.block) reg : outcome =
           let bound = find_bound g block insns index in
           if bound <> None then any_bounded := true;
           let ts, entries, cut = read_table g ~base ~scale ~bound in
-          Pbca_simsched.Trace.tick g.Cfg.trace (4 * entries);
+          Pbca_obs.Trace.tick g.Cfg.trace (4 * entries);
           if cut then capped := true;
           if !first_base = None then first_base := Some base;
           max_entries := max !max_entries entries;

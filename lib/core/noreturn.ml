@@ -30,7 +30,7 @@ let rec drain_waiters g (f : Cfg.func) ~fire =
 
 and set_returns g (f : Cfg.func) ~fire =
   if Atomic.compare_and_set f.f_ret Cfg.Unset Cfg.Returns then begin
-    Atomic.set f.f_ret_dep (Pbca_simsched.Trace.capture g.Cfg.trace);
+    Atomic.set f.f_ret_dep (Pbca_obs.Trace.capture g.Cfg.trace);
     if g.Cfg.config.Config.eager_noreturn then drain_waiters g f ~fire
   end
 

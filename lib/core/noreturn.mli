@@ -29,7 +29,7 @@ val seed_status : Cfg.t -> Cfg.func -> unit
 val set_returns :
   Cfg.t ->
   Cfg.func ->
-  fire:(dep:Pbca_simsched.Trace.dep option -> call_end:int -> unit) ->
+  fire:(dep:Pbca_obs.Trace.dep option -> call_end:int -> unit) ->
   unit
 (** Flip to [Returns] (no-op unless currently [Unset]) and drain waiters:
     call-fall-through waiters via [fire], tail-call status waiters
@@ -40,7 +40,7 @@ val request_fallthrough :
   Cfg.t ->
   callee:Cfg.func ->
   call_end:int ->
-  fire:(dep:Pbca_simsched.Trace.dep option -> call_end:int -> unit) ->
+  fire:(dep:Pbca_obs.Trace.dep option -> call_end:int -> unit) ->
   unit
 (** Handle a call site: create the fall-through now if the callee returns,
     park a waiter if it is [Unset], do nothing if it is [Noreturn]. *)
@@ -49,14 +49,14 @@ val subscribe_tail_status :
   Cfg.t ->
   caller:Cfg.func ->
   callee:Cfg.func ->
-  fire:(dep:Pbca_simsched.Trace.dep option -> call_end:int -> unit) ->
+  fire:(dep:Pbca_obs.Trace.dep option -> call_end:int -> unit) ->
   unit
 (** A tail call from [caller] to [callee]: [caller] returns if [callee]
     does. *)
 
 val drain_pending :
   Cfg.t ->
-  fire:(dep:Pbca_simsched.Trace.dep option -> call_end:int -> unit) ->
+  fire:(dep:Pbca_obs.Trace.dep option -> call_end:int -> unit) ->
   bool
 (** Drain waiters of all [Returns] functions (used between rounds when
     eager notification is disabled). Returns true if anything fired. *)

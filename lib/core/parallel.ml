@@ -6,8 +6,7 @@ module Symtab = Pbca_binfmt.Symtab
 module Symbol = Pbca_binfmt.Symbol
 module Task_pool = Pbca_concurrent.Task_pool
 module Atomic_intset = Pbca_concurrent.Atomic_intset
-module Trace = Pbca_simsched.Trace
-module Otrace = Pbca_obs.Trace
+module Trace = Pbca_obs.Trace
 module Clock = Pbca_obs.Clock
 
 type ctx = {
@@ -20,12 +19,12 @@ type ctx = {
   jt_last : Jump_table.outcome Addr_map.t; (* latest outcome per end addr *)
 }
 
-let spawn_traced ?(addr = -1) ctx label f =
-  let d = Trace.capture ctx.g.Cfg.trace in
-  let ot = ctx.g.Cfg.otrace in
-  ctx.spawn (fun () ->
-      Trace.run ctx.g.Cfg.trace ~label ~deps:[ d ] (fun () ->
-          Otrace.with_span ot ~phase:label ~addr label f))
+(* Spawn [f] as one recorded task. It depends on the spawning task's
+   current progress point, then on [deps]. *)
+let spawn_traced ?addr ?(deps = []) ctx label f =
+  let trace = ctx.g.Cfg.trace in
+  let d = Trace.capture trace in
+  ctx.spawn (fun () -> Trace.with_task trace ?addr ~deps:(d :: deps) label f)
 
 (* ------------------------------------------------------------------ *)
 (* Function bookkeeping.                                               *)
@@ -49,16 +48,12 @@ and fire_fallthrough ctx ~dep ~call_end =
   | Some (owner, dst, created) ->
     (* the spawned work semantically depends on the callee's return status
        becoming known, not only on this call site's discovery *)
-    let spawn_dep label f =
-      let d = Trace.capture ctx.g.Cfg.trace in
-      let ot = ctx.g.Cfg.otrace in
-      ctx.spawn (fun () ->
-          Trace.run ctx.g.Cfg.trace ~label ~deps:[ d; dep ] (fun () ->
-              Otrace.with_span ot ~phase:label label f))
-    in
-    if created then spawn_dep "parse" (fun () -> parse_block ctx dst);
+    let deps = [ dep ] in
+    if created then
+      spawn_traced ~deps ctx "parse" (fun () -> parse_block ctx dst);
     List.iter
-      (fun f -> spawn_dep "walk" (fun () -> process_block ctx f owner))
+      (fun f ->
+        spawn_traced ~deps ctx "walk" (fun () -> process_block ctx f owner))
       (Atomic.get owner.Cfg.b_watchers)
 
 and ensure_func ctx addr =
@@ -358,6 +353,14 @@ let unclaimed_gaps g ~lo ~hi =
   if !pos < hi then gaps := (!pos, hi) :: !gaps;
   List.rev !gaps
 
+(* Alignment modulus of the alignment heuristic. *)
+let gap_align = 16
+
+(* Bound on gap-scan rounds (each round re-scans the gaps left by the
+   previous one's discoveries): hostile images cannot keep the scanner
+   alive past it. *)
+let gap_max_rounds = 8
+
 (* Entry proposals for one gap, in decreasing signal strength:
    - prologue: a frame-setup instruction at any position the in-gap
      linear sweep reaches opens a function;
@@ -369,7 +372,7 @@ let unclaimed_gaps g ~lo ~hi =
    Direct-jump targets are deliberately NOT proposed: intra-function
    branches inside the same gap would mint spurious entries; genuine tail
    calls are recovered by the normal traversal once the proposal parses. *)
-let propose_in_gap image ~in_gap ~gap_align (lo, hi) =
+let propose_in_gap image ~in_gap (lo, hi) =
   let props = ref [] in
   let add a = if in_gap a then props := a :: !props in
   let rs = Linear_sweep.sweep_range image lo hi in
@@ -390,33 +393,31 @@ let propose_in_gap image ~in_gap ~gap_align (lo, hi) =
         | Semantics.Call_direct t -> add t
         | _ -> ()))
     rs.Linear_sweep.rs_blocks;
-  if gap_align > 0 then begin
-    let rec skip_pad a =
-      if a < hi then
-        match Image.decode_at image a with
-        | Some (Insn.Nop, len) -> skip_pad (a + len)
-        | Some _ when a mod gap_align = 0 -> add a
-        | _ -> ()
-    in
-    skip_pad lo
-  end;
+  let rec skip_pad a =
+    if a < hi then
+      match Image.decode_at image a with
+      | Some (Insn.Nop, len) -> skip_pad (a + len)
+      | Some _ when a mod gap_align = 0 -> add a
+      | _ -> ()
+  in
+  skip_pad lo;
   List.sort_uniq compare !props
 
 (* ------------------------------------------------------------------ *)
 
 type persist = { p_journal : string; p_checkpoint : string; p_every : int }
 
-let parse ?(config = Config.default) ?(trace = Pbca_simsched.Trace.disabled)
-    ?(otrace = Otrace.disabled) ?persist ?resume ~pool image =
+let parse ?(config = Config.default) ?(trace = Trace.disabled) ?persist ?resume
+    ~pool image =
+  (* root span: everything below (graph set-up, replay, regions, rounds,
+     durable I/O) nests inside it, so span coverage accounts for the
+     whole parse *)
+  Trace.with_span trace ~phase:"total" "parse" @@ fun () ->
   (* monotonic start: wall-clock steps (NTP, manual set) must not
      corrupt the recorded progress or the deadline *)
   let t0 = Clock.now () in
   let sched0 = Task_pool.stats pool in
-  (* root span: everything below (graph set-up, replay, regions, rounds,
-     durable I/O) nests inside it, so span coverage accounts for the
-     whole parse *)
-  let root = Otrace.begin_span otrace ~phase:"total" "parse" in
-  let g = Cfg.create ~config ~trace ~otrace image in
+  let g = Cfg.create ~config ~trace image in
   let ctx =
     {
       g;
@@ -431,7 +432,7 @@ let parse ?(config = Config.default) ?(trace = Pbca_simsched.Trace.disabled)
     match resume with
     | None -> 0.0
     | Some plan ->
-      Otrace.with_span otrace ~phase:"recovery" "resume-replay" (fun () ->
+      Trace.with_span trace ~phase:"recovery" "resume-replay" (fun () ->
           ignore
             (Recover.apply g plan ~on_jt_pending:(fun ~end_ ~reg ->
                  ignore
@@ -480,7 +481,7 @@ let parse ?(config = Config.default) ?(trace = Pbca_simsched.Trace.disabled)
   let save_checkpoint () =
     match (persist, journal) with
     | Some p, Some w ->
-      Otrace.with_span otrace ~phase:"recovery" "checkpoint-save" (fun () ->
+      Trace.with_span trace ~phase:"recovery" "checkpoint-save" (fun () ->
           Checkpoint.save ~path:p.p_checkpoint ~round:!round
             ~pending:
               (List.map
@@ -498,11 +499,11 @@ let parse ?(config = Config.default) ?(trace = Pbca_simsched.Trace.disabled)
     Pbca_concurrent.Fault.check_crash ();
     (* quiescent point doubles as the span-buffer drain barrier: no task
        is mid-append, so the per-domain batches can move safely *)
-    Otrace.drain otrace;
+    Trace.drain trace;
     match journal with
     | None -> ()
     | Some w ->
-      Otrace.with_span otrace ~phase:"recovery" "journal-flush" (fun () ->
+      Trace.with_span trace ~phase:"recovery" "journal-flush" (fun () ->
           Journal.flush w ~round:!round);
       (match persist with
       | Some p
@@ -533,7 +534,7 @@ let parse ?(config = Config.default) ?(trace = Pbca_simsched.Trace.disabled)
   let run_contained site root =
     (* one region = one span: each jump-table fixed-point iteration shows
        up as its own "jt-round" interval in the trace *)
-    Otrace.with_span otrace ~phase:"region" site (fun () ->
+    Trace.with_span trace ~phase:"region" site (fun () ->
         List.iter
           (fun e ->
             Cfg.record_task_failure g ~site ~detail:(Printexc.to_string e))
@@ -556,8 +557,7 @@ let parse ?(config = Config.default) ?(trace = Pbca_simsched.Trace.disabled)
     in
     Atomic.set g.Cfg.stats.sched_steals d.Task_pool.steals;
     Atomic.set g.Cfg.stats.sched_steal_attempts d.Task_pool.steal_attempts;
-    Atomic.set g.Cfg.stats.sched_idle_sleeps d.Task_pool.idle_sleeps;
-    Otrace.end_span otrace root
+    Atomic.set g.Cfg.stats.sched_idle_sleeps d.Task_pool.idle_sleeps
   in
   Fun.protect
     ~finally:(fun () ->
@@ -569,7 +569,7 @@ let parse ?(config = Config.default) ?(trace = Pbca_simsched.Trace.disabled)
          region also re-seeds the recovered frontier. *)
       run_contained "init" (fun spawn ->
           ctx.spawn <- spawn;
-          Trace.run trace ~label:"init" ~deps:[] (fun () ->
+          Trace.with_task trace ~deps:[] "init" (fun () ->
               let chunk = 64 in
               let n = Array.length symbols in
               let rec spawn_chunks i =
@@ -619,7 +619,7 @@ let parse ?(config = Config.default) ?(trace = Pbca_simsched.Trace.disabled)
         Trace.barrier trace;
         run_contained "jt-round" (fun spawn ->
             ctx.spawn <- spawn;
-            Trace.run trace ~label:"jt-round" ~deps:[] (fun () ->
+            Trace.with_task trace ~deps:[] "jt-round" (fun () ->
                 Addr_map.iter
                   (fun end_addr reg ->
                     spawn_traced ~addr:end_addr ctx "jt" (fun () ->
@@ -657,9 +657,8 @@ let parse ?(config = Config.default) ?(trace = Pbca_simsched.Trace.disabled)
           let stats = g.Cfg.stats in
           let lo = text.Pbca_binfmt.Section.addr in
           let hi = lo + Pbca_binfmt.Section.size text in
-          let max_rounds = max 1 config.Config.gap_max_rounds in
           let rec gap_round n =
-            if n < max_rounds && not (Cfg.past_deadline g) then begin
+            if n < gap_max_rounds && not (Cfg.past_deadline g) then begin
               let gaps = unclaimed_gaps g ~lo ~hi in
               ignore
                 (Atomic.fetch_and_add stats.Cfg.gap_gaps_scanned
@@ -669,10 +668,7 @@ let parse ?(config = Config.default) ?(trace = Pbca_simsched.Trace.disabled)
               in
               let proposals =
                 List.sort_uniq compare
-                  (List.concat_map
-                     (propose_in_gap image ~in_gap
-                        ~gap_align:config.Config.gap_align)
-                     gaps)
+                  (List.concat_map (propose_in_gap image ~in_gap) gaps)
               in
               (* an address already carrying a tag was proposed by an
                  earlier (possibly pre-crash, replayed) round *)
@@ -697,7 +693,7 @@ let parse ?(config = Config.default) ?(trace = Pbca_simsched.Trace.disabled)
                   proposals;
                 run_contained "gap-seed" (fun spawn ->
                     ctx.spawn <- spawn;
-                    Trace.run trace ~label:"gap-seed" ~deps:[] (fun () ->
+                    Trace.with_task trace ~deps:[] "gap-seed" (fun () ->
                         List.iter
                           (fun a ->
                             spawn_traced ~addr:a ctx "gap" (fun () ->
@@ -720,7 +716,7 @@ let parse ?(config = Config.default) ?(trace = Pbca_simsched.Trace.disabled)
       end;
       (* Stage 3: unresolved statuses are non-returning (cyclic rule); no
          new fall-throughs can arise from that, so traversal is complete. *)
-      Otrace.with_span otrace ~phase:"region" "finish-tables" (fun () ->
+      Trace.with_span trace ~phase:"region" "finish-tables" (fun () ->
           Noreturn.resolve_unset g;
           finish_tables ctx);
       Trace.barrier trace;
@@ -732,9 +728,9 @@ let parse ?(config = Config.default) ?(trace = Pbca_simsched.Trace.disabled)
       detach_journal ();
       g)
 
-let parse_and_finalize ?config ?trace ?otrace ?persist ?resume ~pool image =
-  let g = parse ?config ?trace ?otrace ?persist ?resume ~pool image in
-  Otrace.with_span g.Cfg.otrace ~phase:"finalize" "finalize" (fun () ->
+let parse_and_finalize ?config ?trace ?persist ?resume ~pool image =
+  let g = parse ?config ?trace ?persist ?resume ~pool image in
+  Trace.with_span g.Cfg.trace ~phase:"finalize" "finalize" (fun () ->
       Finalize.run ~pool g);
-  Otrace.drain g.Cfg.otrace;
+  Trace.drain g.Cfg.trace;
   g

@@ -12,12 +12,12 @@
 
     Work is scheduled on a work-stealing task pool; one task parses one
     block, walks one function fragment, or analyzes one jump table. When a
-    trace is supplied, every task records its cost and dependencies for
-    {!Pbca_simsched.Replay}. When an [?otrace] ({!Pbca_obs.Trace}) is
-    supplied, every task, region, jump-table round and durable-I/O step
-    additionally records a real wall-time span (per-domain buffers,
-    drained at each quiescent point), and the run's scheduler activity is
-    snapshot-diffed into [stats.sched_*].
+    [?trace] ({!Pbca_obs.Trace}) is supplied, every task records a task
+    span: its real wall time, its cost and its dependencies, which
+    {!Pbca_simsched.Replay} reads. Every region, jump-table round and
+    durable-I/O step records a phase span. Spans go to per-domain buffers,
+    drained at each quiescent point. The run's scheduler activity is
+    snapshot-diffed into [stats.sched_*] either way.
 
     {2 Durability}
 
@@ -42,8 +42,7 @@ type persist = {
 
 val parse :
   ?config:Config.t ->
-  ?trace:Pbca_simsched.Trace.t ->
-  ?otrace:Pbca_obs.Trace.t ->
+  ?trace:Pbca_obs.Trace.t ->
   ?persist:persist ->
   ?resume:Recover.plan ->
   pool:Pbca_concurrent.Task_pool.t ->
@@ -55,8 +54,7 @@ val parse :
 
 val parse_and_finalize :
   ?config:Config.t ->
-  ?trace:Pbca_simsched.Trace.t ->
-  ?otrace:Pbca_obs.Trace.t ->
+  ?trace:Pbca_obs.Trace.t ->
   ?persist:persist ->
   ?resume:Recover.plan ->
   pool:Pbca_concurrent.Task_pool.t ->

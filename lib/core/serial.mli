@@ -10,12 +10,12 @@
 
 val parse :
   ?config:Config.t ->
-  ?trace:Pbca_simsched.Trace.t ->
+  ?trace:Pbca_obs.Trace.t ->
   Pbca_binfmt.Image.t ->
   Cfg.t
 
 val parse_and_finalize :
   ?config:Config.t ->
-  ?trace:Pbca_simsched.Trace.t ->
+  ?trace:Pbca_obs.Trace.t ->
   Pbca_binfmt.Image.t ->
   Cfg.t

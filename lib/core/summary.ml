@@ -242,8 +242,8 @@ let pp_stats fmt (g : Cfg.t) =
       (1000. *. fz.Cfg.fz_snapshot_wall);
   (* phase breakdown from the span trace (when one was attached): total
      span wall per phase, the per-run answer to "where did time go" *)
-  if Pbca_obs.Trace.enabled g.Cfg.otrace then begin
-    match Pbca_obs.Trace.phase_walls g.Cfg.otrace with
+  if Pbca_obs.Trace.enabled g.Cfg.trace then begin
+    match Pbca_obs.Trace.phase_walls g.Cfg.trace with
     | [] -> ()
     | walls ->
       Format.fprintf fmt "@ phase_wall_ms:";

@@ -4,7 +4,7 @@ module Dbg_codec = Pbca_debuginfo.Codec
 module Line_map = Pbca_debuginfo.Line_map
 module Cfg = Pbca_core.Cfg
 module Task_pool = Pbca_concurrent.Task_pool
-module Trace = Pbca_simsched.Trace
+module Trace = Pbca_obs.Trace
 
 type phase = {
   ph_name : string;
@@ -37,7 +37,7 @@ let parse_debug ~pool trace data =
         (fun i blob ->
           let d = Trace.capture trace in
           spawn (fun () ->
-              Trace.run trace ~label:"cu" ~deps:[ d ] (fun () ->
+              Trace.with_task trace ~deps:[ d ] "cu" (fun () ->
                   Trace.tick trace (16 + (Bytes.length blob / 16));
                   out.(i) <- Some (Dbg_codec.decode_cu blob))))
         blobs);
@@ -175,7 +175,7 @@ let run_phases ?(config = Pbca_core.Config.default) ~pool image read_phase =
               (fun (_, sk) ->
                 let d = Trace.capture fill_trace in
                 spawn (fun () ->
-                    Trace.run fill_trace ~label:"fill" ~deps:[ d ] (fun () ->
+                    Trace.with_task fill_trace ~deps:[ d ] "fill" (fun () ->
                         fill_skeleton g dbg line_map fill_trace sk)))
               decorated))
   in

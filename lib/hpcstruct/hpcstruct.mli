@@ -14,13 +14,13 @@
     6. fill skeletons with loops/lines/inlines    (parallel)
     7. serialize                                  (serial tail)
 
-    Each phase is timed and, when parallel, records a task trace so the
-    schedule simulator can replay it at any thread count. *)
+    Each phase is timed and, when parallel, records its tasks so the
+    schedule simulator can replay them at any thread count. *)
 
 type phase = {
   ph_name : string;
   ph_wall : float;  (** measured wall-clock seconds on this machine *)
-  ph_trace : Pbca_simsched.Trace.t option;  (** None for serial phases *)
+  ph_trace : Pbca_obs.Trace.t option;  (** None for serial phases *)
   ph_work : int;  (** work units (trace total, or a serial estimate) *)
 }
 

@@ -1,35 +1,74 @@
+type dep = { dep_task : int; dep_offset : int }
+
 type span = {
   sp_name : string;
   sp_phase : string;
   sp_tid : int; (* domain id, the Chrome "thread" lane *)
-  sp_ordinal : int; (* task ordinal at begin, -1 outside tasks *)
+  sp_ordinal : int; (* ordinal at begin *)
   sp_addr : int; (* address payload, -1 when not address-shaped *)
-  sp_t0 : float; (* seconds since the trace epoch *)
-  mutable sp_t1 : float; (* set at end_span; nan while open *)
+  sp_t0 : int; (* nanoseconds since the trace was created *)
+  mutable sp_t1 : int; (* set when the span closes *)
+  mutable sp_cost : int; (* a task's work units; 0 for a phase span *)
+  sp_deps : dep list; (* a task's dependencies *)
+  sp_epoch : int; (* a task's barrier epoch; -1 marks a phase span *)
 }
 
-(* Per-domain completed-span buffer. Only its owner domain appends;
-   [drain] (master, at a barrier, no task running — the Journal
-   discipline) moves the batch out. The [registered] flag is only ever
-   read and written by the owner domain. *)
-type buf = { mutable pending : span list; mutable registered : bool }
+type task = {
+  id : int;
+  label : string;
+  cost : int;
+  deps : dep list;
+  epoch : int;
+}
+
+(* Per-domain state: the completed-span buffer and the innermost open
+   task, which receives ticks ([no_task] outside any task; the tasks it
+   suspended wait on the OCaml stack of [with_task]). Only its owner
+   domain touches it; [drain] (master, at a barrier, no task running —
+   the Journal discipline) moves the buffer's batch out. *)
+type local = { mutable pending : span list; mutable top : span }
 
 type t = {
   enabled : bool;
-  epoch : float;
+  origin : float;
   next_ordinal : int Atomic.t;
-  key : buf Domain.DLS.key;
-  bufs : buf list Atomic.t; (* every per-domain buffer ever created *)
-  drained : span list Atomic.t; (* batches moved out at barriers *)
+  epoch : int Atomic.t; (* barriers so far *)
+  key : local Domain.DLS.key;
+  locals : local list Atomic.t; (* every per-domain state ever created *)
+  drained : span list list Atomic.t; (* batches moved out at barriers *)
 }
 
+let rec push_atomic cell x =
+  let cur = Atomic.get cell in
+  if not (Atomic.compare_and_set cell cur (x :: cur)) then push_atomic cell x
+
+let no_task =
+  {
+    sp_name = "";
+    sp_phase = "";
+    sp_tid = -1;
+    sp_ordinal = -1;
+    sp_addr = -1;
+    sp_t0 = 0;
+    sp_t1 = 0;
+    sp_cost = 0;
+    sp_deps = [];
+    sp_epoch = -1;
+  }
+
 let make ~enabled =
+  let locals = Atomic.make [] in
   {
     enabled;
-    epoch = Clock.now ();
+    origin = Clock.now ();
     next_ordinal = Atomic.make 0;
-    key = Domain.DLS.new_key (fun () -> { pending = []; registered = false });
-    bufs = Atomic.make [];
+    epoch = Atomic.make 0;
+    key =
+      Domain.DLS.new_key (fun () ->
+          let l = { pending = []; top = no_task } in
+          push_atomic locals l;
+          l);
+    locals;
     drained = Atomic.make [];
   }
 
@@ -37,109 +76,151 @@ let disabled = make ~enabled:false
 let create () = make ~enabled:true
 let enabled t = t.enabled
 
-let rec push_atomic cell x =
-  let cur = Atomic.get cell in
-  if not (Atomic.compare_and_set cell cur (x :: cur)) then push_atomic cell x
+(* Integer nanoseconds: a span holds no boxed float, and closing it is a
+   plain store. *)
+let now_ns t = int_of_float ((Clock.now () -. t.origin) *. 1e9)
 
-let my_buf t =
-  let b = Domain.DLS.get t.key in
-  if not b.registered then begin
-    b.registered <- true;
-    push_atomic t.bufs b
-  end;
-  b
-
-let null_span =
+let open_span t ~phase ~addr ~deps ~epoch name =
   {
-    sp_name = "";
-    sp_phase = "";
-    sp_tid = -1;
-    sp_ordinal = -1;
-    sp_addr = -1;
-    sp_t0 = nan;
-    sp_t1 = nan;
+    sp_name = name;
+    sp_phase = phase;
+    sp_tid = (Domain.self () :> int);
+    sp_ordinal = Atomic.fetch_and_add t.next_ordinal 1;
+    sp_addr = addr;
+    sp_t0 = now_ns t;
+    sp_t1 = 0;
+    sp_cost = 0;
+    sp_deps = deps;
+    sp_epoch = epoch;
   }
 
-let next_ordinal t = Atomic.fetch_and_add t.next_ordinal 1
+let close_span t l s =
+  s.sp_t1 <- now_ns t;
+  l.pending <- s :: l.pending
 
-let begin_span t ?(phase = "task") ?(addr = -1) name =
-  if not t.enabled then null_span
-  else
-    {
-      sp_name = name;
-      sp_phase = phase;
-      sp_tid = (Domain.self () :> int);
-      sp_ordinal = next_ordinal t;
-      sp_addr = addr;
-      sp_t0 = Clock.now () -. t.epoch;
-      sp_t1 = nan;
-    }
-
-let end_span t s =
-  if t.enabled && s != null_span then begin
-    s.sp_t1 <- Clock.now () -. t.epoch;
-    let b = my_buf t in
-    b.pending <- s :: b.pending
-  end
-
-let with_span t ?phase ?addr name f =
+let with_span t ~phase ?(addr = -1) name f =
   if not t.enabled then f ()
   else begin
-    let s = begin_span t ?phase ?addr name in
-    Fun.protect ~finally:(fun () -> end_span t s) f
+    let s = open_span t ~phase ~addr ~deps:[] ~epoch:(-1) name in
+    match f () with
+    | v ->
+      close_span t (Domain.DLS.get t.key) s;
+      v
+    | exception e ->
+      close_span t (Domain.DLS.get t.key) s;
+      raise e
   end
 
+(* ------------------------------------------------------------------ *)
+(* Tasks: spans with a cost, dependency edges and a barrier epoch.     *)
+
+let end_task t l ~outer s =
+  l.top <- outer;
+  s.sp_cost <- max 1 s.sp_cost;
+  close_span t l s
+
+let with_task t ?(addr = -1) ~deps label f =
+  if not t.enabled then f ()
+  else begin
+    let s =
+      open_span t ~phase:label ~addr
+        ~deps:(List.filter_map Fun.id deps)
+        ~epoch:(Atomic.get t.epoch) label
+    in
+    let l = Domain.DLS.get t.key in
+    let outer = l.top in
+    l.top <- s;
+    match f () with
+    | v ->
+      end_task t l ~outer s;
+      v
+    | exception e ->
+      end_task t l ~outer s;
+      raise e
+  end
+
+let capture t =
+  if not t.enabled then None
+  else
+    let s = (Domain.DLS.get t.key).top in
+    if s == no_task then None
+    else Some { dep_task = s.sp_ordinal; dep_offset = s.sp_cost }
+
+let tick t n =
+  if t.enabled then
+    let s = (Domain.DLS.get t.key).top in
+    if s != no_task then s.sp_cost <- s.sp_cost + n
+
+let barrier t = if t.enabled then Atomic.incr t.epoch
+
 (* Barrier-time drain: take every buffer's batch. Caller guarantees
-   quiescence (no task mid-[end_span]), exactly like [Journal.flush]. *)
+   quiescence (no span mid-append), exactly like [Journal.flush]. *)
 let drain t =
   if t.enabled then
     List.iter
-      (fun b ->
-        match b.pending with
+      (fun l ->
+        match l.pending with
         | [] -> ()
         | batch ->
-          b.pending <- [];
-          List.iter (fun s -> push_atomic t.drained s) batch)
-      (Atomic.get t.bufs)
+          l.pending <- [];
+          push_atomic t.drained batch)
+      (Atomic.get t.locals)
+
+let fold_spans t f acc =
+  drain t;
+  List.fold_left (List.fold_left f) acc (Atomic.get t.drained)
+
+let tasks t =
+  fold_spans t
+    (fun acc s ->
+      if s.sp_epoch < 0 then acc
+      else
+        {
+          id = s.sp_ordinal;
+          label = s.sp_name;
+          cost = s.sp_cost;
+          deps = s.sp_deps;
+          epoch = s.sp_epoch;
+        }
+        :: acc)
+    []
+
+let total_work t =
+  fold_spans t (fun acc s -> if s.sp_epoch < 0 then acc else acc + s.sp_cost) 0
 
 let spans t =
-  drain t;
-  List.filter
-    (fun s -> Float.is_finite s.sp_t1)
-    (Atomic.get t.drained)
+  fold_spans t (fun acc s -> s :: acc) []
   |> List.sort (fun a b -> compare (a.sp_t0, a.sp_t1) (b.sp_t0, b.sp_t1))
-
-let wall t = Clock.elapsed t.epoch
 
 (* Union length of the span intervals: the "observed" fraction of a
    measured wall time, for the coverage acceptance check. *)
 let covered_wall t =
   let iv =
-    List.sort compare
-      (List.map (fun s -> (s.sp_t0, s.sp_t1)) (spans t))
+    List.sort compare (fold_spans t (fun acc s -> (s.sp_t0, s.sp_t1) :: acc) [])
   in
   let rec go acc = function
     | [] -> acc
     | (lo, hi) :: rest ->
       let rec absorb hi = function
-        | (lo2, hi2) :: rest2 when lo2 <= hi -> absorb (Float.max hi hi2) rest2
+        | (lo2, hi2) :: rest2 when lo2 <= hi -> absorb (max hi hi2) rest2
         | rest2 -> (hi, rest2)
       in
       let hi, rest = absorb hi rest in
-      go (acc +. (hi -. lo)) rest
+      go (acc + (hi - lo)) rest
   in
-  go 0.0 iv
+  float_of_int (go 0 iv) *. 1e-9
 
 (* Per-phase wall aggregation, for the Summary phase breakdown. Nested
    spans of the same phase double-count there; the breakdown therefore
    reports leaf-ish phases (callers pick disjoint phase names). *)
 let phase_walls t =
   let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun s ->
+  fold_spans t
+    (fun () s ->
       let cur = Option.value (Hashtbl.find_opt tbl s.sp_phase) ~default:0.0 in
-      Hashtbl.replace tbl s.sp_phase (cur +. (s.sp_t1 -. s.sp_t0)))
-    (spans t);
+      Hashtbl.replace tbl s.sp_phase
+        (cur +. (float_of_int (s.sp_t1 - s.sp_t0) *. 1e-9)))
+    ();
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
@@ -153,6 +234,7 @@ let chrome_json t =
   let ev (s : span) =
     let args =
       (if s.sp_ordinal >= 0 then [ ("ordinal", J_int s.sp_ordinal) ] else [])
+      @ (if s.sp_epoch >= 0 then [ ("work", J_int s.sp_cost) ] else [])
       @
       if s.sp_addr >= 0 then
         [ ("addr", J_str (Printf.sprintf "0x%x" s.sp_addr)) ]
@@ -165,8 +247,8 @@ let chrome_json t =
          ("ph", J_str "X");
          (* integer microseconds: Json floats print %.6g, which would
             round a multi-second ts to ~10us and jumble lane ordering *)
-         ("ts", J_int (int_of_float (Float.round (s.sp_t0 *. 1e6))));
-         ("dur", J_int (max 1 (int_of_float (Float.round ((s.sp_t1 -. s.sp_t0) *. 1e6)))));
+         ("ts", J_int (s.sp_t0 / 1000));
+         ("dur", J_int (max 1 ((s.sp_t1 - s.sp_t0) / 1000)));
          ("pid", J_int 1);
          ("tid", J_int s.sp_tid);
        ]

@@ -79,7 +79,7 @@ type t = {
   stopped : bool Atomic.t;
   cache : Cache.t option;
   metrics : Metrics.t;
-  otrace : Trace.t;
+  trace : Trace.t;
   cnt : counters;
   h_wait : Metrics.histogram;
   h_latency : Metrics.histogram;
@@ -208,7 +208,7 @@ let run_attempt t pool job ~attempt result_cell =
       | None ->
         if cache <> None then Metrics.incr t.cnt.c_cache_misses;
         let g =
-          Parallel.parse_and_finalize ~config:acfg ~otrace:t.otrace ~pool img
+          Parallel.parse_and_finalize ~config:acfg ~trace:t.trace ~pool img
         in
         let budget_cut = Cfg.degraded_count g > 0 in
         let degraded = budget_cut || heuristic g in
@@ -270,7 +270,7 @@ let serve_job t pool job =
     in
     let job_id = Wire.kind_name job.jb_req.Wire.rq_kind in
     let reports =
-      Supervisor.run ~config:sup_cfg ~trace:t.otrace ~should_stop
+      Supervisor.run ~config:sup_cfg ~trace:t.trace ~should_stop
         [ { Supervisor.j_id = job_id;
             j_run = (fun ~attempt -> run_attempt t pool job ~attempt result_cell) } ]
     in
@@ -457,7 +457,7 @@ let acceptor_loop t =
 (* ------------------------------------------------------------------ *)
 (* Lifecycle.                                                          *)
 
-let start ?(otrace = Trace.disabled) cfg =
+let start ?(trace = Trace.disabled) cfg =
   (* a peer closing mid-write must surface as EPIPE, not kill the daemon *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   unlink_quiet cfg.sc_sock;
@@ -485,7 +485,7 @@ let start ?(otrace = Trace.disabled) cfg =
     }
   in
   let queue =
-    Channel.create ~otrace ~name:"serve_admission" ~capacity:cfg.sc_queue ()
+    Channel.create ~trace ~name:"serve_admission" ~capacity:cfg.sc_queue ()
   in
   Metrics.register_gauge_fn metrics "serve_queue_depth" (fun () ->
       float_of_int (Channel.length queue));
@@ -499,7 +499,7 @@ let start ?(otrace = Trace.disabled) cfg =
       stopped = Atomic.make false;
       cache = Option.map (fun dir -> Cache.create ~dir) cfg.sc_cache_dir;
       metrics;
-      otrace;
+      trace;
       cnt;
       h_wait = Metrics.histogram metrics "serve_wait_s";
       h_latency = Metrics.histogram metrics "serve_latency_s";
@@ -529,9 +529,9 @@ let stop t =
     unlink_quiet t.cfg.sc_sock;
     Channel.close t.queue;
     Array.iter Domain.join t.workers;
-    if Trace.enabled t.otrace then Trace.drain t.otrace
+    if Trace.enabled t.trace then Trace.drain t.trace
   end
 
-let with_server ?otrace cfg f =
-  let t = start ?otrace cfg in
+let with_server ?trace cfg f =
+  let t = start ?trace cfg in
   Fun.protect ~finally:(fun () -> stop t) (fun () -> f t)

@@ -49,7 +49,7 @@ val default_config : sock:string -> config
 
 type t
 
-val start : ?otrace:Pbca_obs.Trace.t -> config -> t
+val start : ?trace:Pbca_obs.Trace.t -> config -> t
 (** Bind, listen, spawn acceptor and worker domains, return immediately.
     Ignores SIGPIPE process-wide (a dead peer must surface as a write
     error, not a signal). *)
@@ -60,7 +60,7 @@ val stop : t -> unit
     workers finish {e every} already-admitted request — zero in-flight
     requests are lost. Idempotent. *)
 
-val with_server : ?otrace:Pbca_obs.Trace.t -> config -> (t -> 'a) -> 'a
+val with_server : ?trace:Pbca_obs.Trace.t -> config -> (t -> 'a) -> 'a
 (** [start] / run / [stop], stopping on exception too. *)
 
 val metrics : t -> Pbca_obs.Metrics.t

@@ -1,3 +1,5 @@
+module Trace = Pbca_obs.Trace
+
 type result = {
   makespan : int;
   total_work : int;
@@ -5,9 +7,9 @@ type result = {
   busy : float;
 }
 
-(* Tasks arrive with arbitrary ids (atomic counter across domains) and in
-   bag order; normalize to dense indices sorted by id so replay is
-   deterministic. *)
+(* Tasks arrive with sparse ids (span ordinals, shared by every domain
+   and by phase spans) and in no particular order; normalize to dense
+   indices sorted by id so replay is deterministic. *)
 let normalize (tasks : Trace.task list) =
   let arr = Array.of_list tasks in
   Array.sort (fun (a : Trace.task) b -> compare a.id b.id) arr;
@@ -126,8 +128,6 @@ let simulate ?(bus = 0.04) ~threads tasks =
     critical_path = !critical_path;
     busy;
   }
-
-let makespan ?bus ~threads t = (simulate ?bus ~threads (Trace.tasks t)).makespan
 
 let speedup ?bus ~threads t =
   let r = simulate ?bus ~threads (Trace.tasks t) in

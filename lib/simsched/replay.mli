@@ -17,7 +17,7 @@ type result = {
   busy : float;  (** worker utilization in [0, 1] *)
 }
 
-val simulate : ?bus:float -> threads:int -> Trace.task list -> result
+val simulate : ?bus:float -> threads:int -> Pbca_obs.Trace.task list -> result
 (** [bus] models the shared memory system: every work unit consumes that
     fraction of a single shared resource, so an epoch cannot finish faster
     than [bus * total_work] regardless of thread count (speedups cap near
@@ -25,9 +25,6 @@ val simulate : ?bus:float -> threads:int -> Trace.task list -> result
     paper's best CFG-construction scaling lands on real hardware. Set to
     0.0 for the pure task-graph bound. *)
 
-val makespan : ?bus:float -> threads:int -> Trace.t -> int
-(** Convenience: simulate a trace's tasks. *)
-
-val speedup : ?bus:float -> threads:int -> Trace.t -> float
+val speedup : ?bus:float -> threads:int -> Pbca_obs.Trace.t -> float
 (** [total_work / makespan(threads)] — speedup over a single thread running
     the same work. *)

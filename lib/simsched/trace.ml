@@ -1,77 +1,1 @@
-type dep = { dep_task : int; dep_offset : int }
-
-type task = {
-  id : int;
-  label : string;
-  cost : int;
-  deps : dep list;
-  epoch : int;
-}
-
-type active = { a_id : int; mutable a_cost : int }
-
-type t = {
-  enabled : bool;
-  next_id : int Atomic.t;
-  epoch : int Atomic.t;
-  done_tasks : task Pbca_concurrent.Conc_bag.t;
-  current : active list ref Domain.DLS.key;
-      (* per-domain stack of active tasks *)
-}
-
-let make enabled =
-  {
-    enabled;
-    next_id = Atomic.make 0;
-    epoch = Atomic.make 0;
-    done_tasks = Pbca_concurrent.Conc_bag.create ();
-    current = Domain.DLS.new_key (fun () -> ref []);
-  }
-
-let barrier t = if t.enabled then Atomic.incr t.epoch
-
-let create () = make true
-let disabled = make false
-let is_enabled t = t.enabled
-
-let top t =
-  match !(Domain.DLS.get t.current) with [] -> None | a :: _ -> Some a
-
-let capture t =
-  if not t.enabled then None
-  else
-    match top t with
-    | None -> None
-    | Some a -> Some { dep_task = a.a_id; dep_offset = a.a_cost }
-
-let tick t n =
-  if t.enabled then
-    match top t with None -> () | Some a -> a.a_cost <- a.a_cost + n
-
-let run t ?(label = "task") ~deps f =
-  if not t.enabled then f ()
-  else begin
-    let id = Atomic.fetch_and_add t.next_id 1 in
-    let epoch = Atomic.get t.epoch in
-    let stack = Domain.DLS.get t.current in
-    let a = { a_id = id; a_cost = 0 } in
-    stack := a :: !stack;
-    let finish () =
-      stack := List.tl !stack;
-      let deps = List.filter_map (fun d -> d) deps in
-      Pbca_concurrent.Conc_bag.add t.done_tasks
-        { id; label; cost = max 1 a.a_cost; deps; epoch }
-    in
-    match f () with
-    | v ->
-      finish ();
-      v
-    | exception e ->
-      finish ();
-      raise e
-  end
-
-let tasks t = Pbca_concurrent.Conc_bag.to_list t.done_tasks
-
-let total_work t =
-  List.fold_left (fun acc (x : task) -> acc + x.cost) 0 (tasks t)
+let disabled = Pbca_obs.Trace.disabled

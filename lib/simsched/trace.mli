@@ -1,59 +1,5 @@
-(** Task-DAG recording.
+(** A disabled {!Pbca_obs.Trace}, under the name the repository benchmark
+    passes to the BinFeat extractors. It exists only for [perfbench/];
+    every other caller names {!Pbca_obs.Trace} directly. *)
 
-    The container this reproduction runs in has a single hardware core, so
-    wall-clock scaling cannot be measured directly (the paper used 64- and
-    72-thread machines). Instead, the parallel algorithms record their task
-    structure while running: every task logs its cost in abstract work units
-    (instructions decoded, slice steps, map operations) and its dependencies
-    — the spawn point within the parent, and wake-ups such as "this
-    call-fall-through could only be created once the callee's return status
-    was known". {!Replay} then schedules the recorded DAG on P simulated
-    threads. See DESIGN.md, substitution 3.
-
-    Recording is thread-safe: each domain tracks its current task in
-    domain-local storage; completed tasks are published to a concurrent
-    bag. A disabled trace ({!disabled}) makes every operation a no-op, so
-    production paths can be instrumented unconditionally. *)
-
-type t
-
-type dep = { dep_task : int; dep_offset : int }
-(** Satisfied once task [dep_task] has executed [dep_offset] work units
-    ([max_int] = completion). *)
-
-val create : unit -> t
-val disabled : t
-val is_enabled : t -> bool
-
-val capture : t -> dep option
-(** Dependency on the calling task's current progress point: the thing to
-    pass to a task spawned right now. [None] when recording is disabled or
-    the caller is outside any task. *)
-
-val run : t -> ?label:string -> deps:dep option list -> (unit -> 'a) -> 'a
-(** [run t ~deps f] records [f]'s execution as one task. Nestable per domain
-    (the inner task suspends the outer one's accounting). *)
-
-val tick : t -> int -> unit
-(** Add work units to the calling task. No-op outside a task. *)
-
-type task = {
-  id : int;
-  label : string;
-  cost : int;
-  deps : dep list;
-  epoch : int;  (** barrier epoch the task started in *)
-}
-
-val barrier : t -> unit
-(** Record a full synchronization point: tasks recorded after the barrier
-    cannot start, in replay, before every earlier task has finished. The
-    parallel parser emits one per quiescence round, and sequential
-    per-binary parsing in a corpus emits one per binary — modelling the
-    phase-based synchronization whose cost the paper's methodology flags
-    (Section 6.4, step 4). *)
-
-val tasks : t -> task list
-(** All completed tasks. Call after the parallel region has quiesced. *)
-
-val total_work : t -> int
+val disabled : Pbca_obs.Trace.t

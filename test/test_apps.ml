@@ -64,7 +64,7 @@ let test_hpcstruct_traces () =
         Alcotest.(check bool)
           (p.ph_name ^ " trace nonempty")
           true
-          (Pbca_simsched.Trace.total_work tr > 0)
+          (Pbca_obs.Trace.total_work tr > 0)
       | None -> ())
     r.phases;
   Alcotest.(check bool) "phase_wall finds cfg" true (H.phase_wall r "cfg" >= 0.0);
@@ -84,8 +84,8 @@ let test_hpcstruct_task_labels () =
         match p.ph_trace with
         | Some tr ->
           List.exists
-            (fun (t : Pbca_simsched.Trace.task) -> t.label = label)
-            (Pbca_simsched.Trace.tasks tr)
+            (fun (t : Pbca_obs.Trace.task) -> t.label = label)
+            (Pbca_obs.Trace.tasks tr)
         | None -> false)
       r.phases
   in

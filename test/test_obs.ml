@@ -4,7 +4,7 @@
 
 module Clock = Pbca_obs.Clock
 module Metrics = Pbca_obs.Metrics
-module Otrace = Pbca_obs.Trace
+module Trace = Pbca_obs.Trace
 module Json = Pbca_obs.Json
 module TP = Pbca_concurrent.Task_pool
 module Profile = Pbca_codegen.Profile
@@ -113,27 +113,27 @@ let test_metrics_merge_diff () =
 let traced_parse () =
   let r = Pbca_codegen.Emit.generate (Profile.coreutils_like 1) in
   let pool = TP.create ~threads:4 in
-  let otrace = Otrace.create () in
+  let trace = Trace.create () in
   let t0 = Clock.now () in
   let g =
-    Pbca_core.Parallel.parse_and_finalize ~otrace ~pool
+    Pbca_core.Parallel.parse_and_finalize ~trace ~pool
       r.Pbca_codegen.Emit.image
   in
-  (g, otrace, Clock.elapsed t0)
+  (g, trace, Clock.elapsed t0)
 
 let test_trace_chrome_json () =
   let g, t, wall = traced_parse () in
   ignore g;
-  let s = Otrace.to_chrome_string t in
+  let s = Trace.to_chrome_string t in
   Alcotest.(check bool) "chrome export is well-formed JSON" true
     (Json.json_well_formed s);
-  Alcotest.(check bool) "spans recorded" true (Otrace.spans t <> []);
+  Alcotest.(check bool) "spans recorded" true (Trace.spans t <> []);
   (* the root "parse" span opens right after Cfg.create and closes after
      the last round, so span coverage tracks the measured wall closely;
      0.90 leaves slack for registry setup and a GC pause *)
   Alcotest.(check bool) "spans cover the parse wall" true
-    (Otrace.covered_wall t >= 0.90 *. wall);
-  match Otrace.phase_walls t with
+    (Trace.covered_wall t >= 0.90 *. wall);
+  match Trace.phase_walls t with
   | [] -> Alcotest.fail "no phase breakdown"
   | phases ->
     Alcotest.(check bool) "total phase present" true
@@ -147,28 +147,27 @@ let test_trace_chrome_json () =
    domain's (synchronous) call stack, so sorted by start time they must
    nest or be disjoint — never partially overlap — and their begin
    ordinals must increase with strictly increasing start times. *)
-let test_trace_span_discipline () =
-  let _g, t, _wall = traced_parse () in
-  let spans = Otrace.spans t in
+let check_span_discipline t =
+  let spans = Trace.spans t in
   let rec sorted = function
     | a :: (b :: _ as rest) ->
-      a.Otrace.sp_t0 <= b.Otrace.sp_t0 && sorted rest
+      a.Trace.sp_t0 <= b.Trace.sp_t0 && sorted rest
     | _ -> true
   in
   Alcotest.(check bool) "globally sorted by start" true (sorted spans);
   List.iter
     (fun sp ->
-      if sp.Otrace.sp_t1 < sp.Otrace.sp_t0 || sp.Otrace.sp_t0 < 0.0 then
-        Alcotest.failf "span %s has a negative interval [%g,%g]"
-          sp.Otrace.sp_name sp.Otrace.sp_t0 sp.Otrace.sp_t1)
+      if sp.Trace.sp_t1 < sp.Trace.sp_t0 || sp.Trace.sp_t0 < 0 then
+        Alcotest.failf "span %s has a negative interval [%d,%d]"
+          sp.Trace.sp_name sp.Trace.sp_t0 sp.Trace.sp_t1)
     spans;
   let by_tid = Hashtbl.create 8 in
   List.iter
     (fun sp ->
       let prev =
-        Option.value ~default:[] (Hashtbl.find_opt by_tid sp.Otrace.sp_tid)
+        Option.value ~default:[] (Hashtbl.find_opt by_tid sp.Trace.sp_tid)
       in
-      Hashtbl.replace by_tid sp.Otrace.sp_tid (sp :: prev))
+      Hashtbl.replace by_tid sp.Trace.sp_tid (sp :: prev))
     spans;
   Hashtbl.iter
     (fun tid sps ->
@@ -177,40 +176,55 @@ let test_trace_span_discipline () =
         List.sort
           (fun a b ->
             compare
-              (a.Otrace.sp_t0, -.a.Otrace.sp_t1)
-              (b.Otrace.sp_t0, -.b.Otrace.sp_t1))
+              (a.Trace.sp_t0, -a.Trace.sp_t1)
+              (b.Trace.sp_t0, -b.Trace.sp_t1))
           sps
       in
       let stack = ref [] in
-      let last : Otrace.span option ref = ref None in
+      let last : Trace.span option ref = ref None in
       List.iter
         (fun sp ->
           (match !last with
           | Some p
-            when p.Otrace.sp_t0 < sp.Otrace.sp_t0
-                 && p.Otrace.sp_ordinal >= sp.Otrace.sp_ordinal ->
+            when p.Trace.sp_t0 < sp.Trace.sp_t0
+                 && p.Trace.sp_ordinal >= sp.Trace.sp_ordinal ->
             Alcotest.failf "tid %d: ordinals not monotone (%d then %d)" tid
-              p.Otrace.sp_ordinal sp.Otrace.sp_ordinal
+              p.Trace.sp_ordinal sp.Trace.sp_ordinal
           | _ -> ());
           last := Some sp;
           let rec pop () =
             match !stack with
-            | top :: rest when top.Otrace.sp_t1 <= sp.Otrace.sp_t0 ->
+            | top :: rest when top.Trace.sp_t1 <= sp.Trace.sp_t0 ->
               stack := rest;
               pop ()
             | _ -> ()
           in
           pop ();
           (match !stack with
-          | top :: _ when sp.Otrace.sp_t1 > top.Otrace.sp_t1 ->
+          | top :: _ when sp.Trace.sp_t1 > top.Trace.sp_t1 ->
             Alcotest.failf
-              "tid %d: span %s [%g,%g] partially overlaps %s [%g,%g]" tid
-              sp.Otrace.sp_name sp.Otrace.sp_t0 sp.Otrace.sp_t1
-              top.Otrace.sp_name top.Otrace.sp_t0 top.Otrace.sp_t1
+              "tid %d: span %s [%d,%d] partially overlaps %s [%d,%d]" tid
+              sp.Trace.sp_name sp.Trace.sp_t0 sp.Trace.sp_t1
+              top.Trace.sp_name top.Trace.sp_t0 top.Trace.sp_t1
           | _ -> ());
           stack := sp :: !stack)
         sps)
     by_tid
+
+(* Two recorders: a traced parse, and the cfg phase of an hpcstruct run,
+   whose tasks and phase spans share one recorder. *)
+let test_trace_span_discipline () =
+  let _g, t, _wall = traced_parse () in
+  check_span_discipline t;
+  let module H = Pbca_hpcstruct.Hpcstruct in
+  let r =
+    H.run_image ~pool:(TP.create ~threads:4)
+      (Pbca_codegen.Emit.generate (Profile.coreutils_like 1))
+        .Pbca_codegen.Emit.image
+  in
+  match List.find (fun (p : H.phase) -> p.ph_name = "cfg") r.phases with
+  | { ph_trace = Some t; _ } -> check_span_discipline t
+  | _ -> Alcotest.fail "hpcstruct cfg phase has no recorder"
 
 (* Tracing stays cheap: traced over untraced parse wall, and the span
    coverage of the traced wall, each a median over alternating pairs. The
@@ -222,10 +236,10 @@ let test_trace_overhead () =
       { (Profile.coreutils_like 1) with Profile.n_funcs = 400 }
   in
   let pool = TP.create ~threads:2 in
-  let parse ?otrace () =
+  let parse ?trace () =
     let t0 = Clock.now () in
     ignore
-      (Pbca_core.Parallel.parse_and_finalize ?otrace ~pool
+      (Pbca_core.Parallel.parse_and_finalize ?trace ~pool
          r.Pbca_codegen.Emit.image
         : Pbca_core.Cfg.t);
     Clock.elapsed t0
@@ -235,9 +249,9 @@ let test_trace_overhead () =
   ignore (parse ());
   let coverage = ref [] in
   let traced () =
-    let t = Otrace.create () in
-    let w = parse ~otrace:t () in
-    coverage := (Otrace.covered_wall t /. w) :: !coverage;
+    let t = Trace.create () in
+    let w = parse ~trace:t () in
+    coverage := (Trace.covered_wall t /. w) :: !coverage;
     w
   in
   let overhead =
@@ -251,12 +265,13 @@ let test_trace_overhead () =
       coverage
 
 let test_trace_disabled_is_free () =
-  let t = Otrace.disabled in
-  Alcotest.(check bool) "disabled" false (Otrace.enabled t);
-  let sp = Otrace.begin_span t ~phase:"x" "noop" in
-  Otrace.end_span t sp;
-  Otrace.drain t;
-  Alcotest.(check bool) "no spans collected" true (Otrace.spans t = [])
+  let t = Trace.disabled in
+  Alcotest.(check bool) "disabled" false (Trace.enabled t);
+  Trace.with_span t ~phase:"x" "noop" (fun () -> ());
+  Trace.with_task t ~deps:[ Trace.capture t ] "task" (fun () ->
+      Trace.tick t 1);
+  Trace.drain t;
+  Alcotest.(check bool) "no spans collected" true (Trace.spans t = [])
 
 let suite =
   [

@@ -3,7 +3,7 @@
 
 open Tutil
 module Heap = Pbca_simsched.Heap
-module Trace = Pbca_simsched.Trace
+module Trace = Pbca_obs.Trace
 module Replay = Pbca_simsched.Replay
 
 (* ------------------------------- heap --------------------------------- *)
@@ -37,7 +37,7 @@ let mk_trace jobs =
   (* cost + spawned children, executed single-threaded *)
   let tr = Trace.create () in
   let rec exec (Job (cost, children)) =
-    Trace.run tr ~deps:[ Trace.capture tr ] (fun () ->
+    Trace.with_task tr ~deps:[ Trace.capture tr ] "job" (fun () ->
         Trace.tick tr cost;
         List.iter exec children)
   in
@@ -52,7 +52,7 @@ let test_trace_records () =
 
 let test_trace_disabled () =
   let tr = Trace.disabled in
-  Trace.run tr ~deps:[] (fun () -> Trace.tick tr 100);
+  Trace.with_task tr ~deps:[] "job" (fun () -> Trace.tick tr 100);
   Alcotest.(check int) "nothing recorded" 0 (List.length (Trace.tasks tr));
   Alcotest.(check bool) "capture none" true (Trace.capture tr = None)
 
@@ -238,9 +238,10 @@ let test_bus_caps_speedup =
 
 let test_trace_nested_tasks () =
   let tr = Trace.create () in
-  Trace.run tr ~deps:[] (fun () ->
+  Trace.with_task tr ~deps:[] "outer" (fun () ->
       Trace.tick tr 5;
-      Trace.run tr ~deps:[ Trace.capture tr ] (fun () -> Trace.tick tr 7);
+      Trace.with_task tr ~deps:[ Trace.capture tr ] "inner" (fun () ->
+          Trace.tick tr 7);
       (* the outer task's accounting resumes after the inner one *)
       Trace.tick tr 3);
   let tasks = Trace.tasks tr in
@@ -248,10 +249,116 @@ let test_trace_nested_tasks () =
   let costs = List.sort compare (List.map (fun (t : Trace.task) -> t.cost) tasks) in
   Alcotest.(check (list int)) "costs attributed to the right task" [ 7; 8 ] costs
 
+(* Phase spans and tasks share one recorder but not the accounting: a
+   phase span inside a task leaves the ticks to the task and is no task
+   itself, and a task inside a phase span is a task like any other. *)
+let test_trace_phase_spans_are_not_tasks () =
+  let tr = Trace.create () in
+  Trace.with_task tr ~deps:[] "outer" (fun () ->
+      Trace.tick tr 2;
+      Trace.with_span tr ~phase:"region" "inside-task" (fun () ->
+          Trace.tick tr 3;
+          Alcotest.(check bool) "capture sees the task" true
+            (Trace.capture tr <> None)));
+  Trace.with_span tr ~phase:"region" "outside" (fun () ->
+      Trace.tick tr 100;
+      Alcotest.(check bool) "no task to depend on" true
+        (Trace.capture tr = None);
+      Trace.with_task tr ~deps:[] "inner" (fun () -> Trace.tick tr 4));
+  let tasks =
+    List.sort compare
+      (List.map (fun (t : Trace.task) -> (t.label, t.cost)) (Trace.tasks tr))
+  in
+  Alcotest.(check (list (pair string int)))
+    "only the tasks, with their ticks"
+    [ ("inner", 4); ("outer", 5) ]
+    tasks;
+  Alcotest.(check int) "total work" 9 (Trace.total_work tr);
+  Alcotest.(check int) "every span recorded" 4 (List.length (Trace.spans tr))
+
+(* ------------------------- pinned task DAGs ---------------------------- *)
+
+(* The task DAG that the paper-reproduction tables replay, pinned for fixed
+   subjects: the task count, the total work, and the makespan at each
+   simulated thread count (default bus). Recorded on a 1-thread pool, the
+   only pool on which the task order does not vary from run to run. *)
+let sweep = [ 1; 2; 4; 8; 16; 32; 64 ]
+
+let check_dag name tr (n, work, makespans) =
+  let tasks = Trace.tasks tr in
+  Alcotest.(check int) (name ^ ": tasks") n (List.length tasks);
+  Alcotest.(check int) (name ^ ": total work") work (Trace.total_work tr);
+  Alcotest.(check (list int))
+    (name ^ ": makespans at 1..64 threads")
+    makespans
+    (List.map (fun threads -> (Replay.simulate ~threads tasks).makespan) sweep)
+
+let coreutils_1 = (387, 3043, [ 3043; 1540; 799; 495; 402; 398; 396 ])
+
+let test_pinned_parse_dags () =
+  let pool = Pbca_concurrent.Task_pool.create ~threads:1 in
+  let parse ?config name image expected =
+    let trace = Trace.create () in
+    ignore
+      (Pbca_core.Parallel.parse_and_finalize ?config ~trace ~pool image
+        : Pbca_core.Cfg.t);
+    check_dag name trace expected
+  in
+  parse "coreutils_like 1"
+    (Emit.generate (Profile.coreutils_like 1)).Emit.image coreutils_1;
+  parse "coreutils_like 2"
+    (Emit.generate (Profile.coreutils_like 2)).Emit.image
+    (331, 2272, [ 2272; 1138; 586; 322; 243; 226; 225 ]);
+  let module Family = Pbca_codegen.Family in
+  parse "stripped 0, gap parse"
+    ~config:{ Pbca_core.Config.default with gap_parse = true }
+    (Family.strip (Emit.generate (Family.profile Family.Stripped 0))).Emit.image
+    (458, 3927, [ 3927; 2095; 1224; 914; 826; 799; 798 ])
+
+let test_pinned_tool_dags () =
+  let pool = Pbca_concurrent.Task_pool.create ~threads:1 in
+  let module H = Pbca_hpcstruct.Hpcstruct in
+  let r =
+    H.run_image ~pool (Emit.generate (Profile.coreutils_like 1)).Emit.image
+  in
+  let phase name =
+    match List.find (fun (p : H.phase) -> p.ph_name = name) r.phases with
+    | { ph_trace = Some tr; _ } -> tr
+    | _ -> Alcotest.failf "hpcstruct phase %s has no trace" name
+  in
+  check_dag "hpcstruct dwarf" (phase "dwarf")
+    (8, 2351, [ 2351; 1199; 696; 414; 414; 414; 414 ]);
+  check_dag "hpcstruct cfg" (phase "cfg") coreutils_1;
+  check_dag "hpcstruct fill" (phase "fill")
+    (48, 1032, [ 1032; 531; 288; 164; 102; 83; 69 ]);
+  let module B = Pbca_binfeat.Binfeat in
+  let images =
+    List.map
+      (fun i -> (Emit.generate (Profile.forensics_member i)).Emit.image)
+      [ 1; 2; 3; 4 ]
+  in
+  let r = B.extract ~pool images in
+  let stage name =
+    (List.find (fun (s : B.stage) -> s.st_name = name) r.stages).st_trace
+  in
+  check_dag "binfeat cfg" (stage "cfg")
+    (1115, 8538, [ 8538; 4324; 2273; 1343; 1007; 986; 982 ]);
+  check_dag "binfeat if" (stage "if")
+    (137, 3416, [ 3416; 1911; 1141; 765; 582; 483; 483 ]);
+  check_dag "binfeat cf" (stage "cf")
+    (137, 2725, [ 2725; 1375; 705; 370; 210; 125; 113 ]);
+  check_dag "binfeat df" (stage "df")
+    (137, 4834, [ 4834; 2439; 1252; 659; 375; 224; 197 ])
+
 let suite =
   suite
   @ [
       test_graham_bound;
       test_bus_caps_speedup;
       quick "trace: nested tasks account separately" test_trace_nested_tasks;
+      quick "trace: phase spans take no ticks and are not tasks"
+        test_trace_phase_spans_are_not_tasks;
+      quick "pinned DAG: parses on a 1-thread pool" test_pinned_parse_dags;
+      quick "pinned DAG: hpcstruct and BinFeat on a 1-thread pool"
+        test_pinned_tool_dags;
     ]
