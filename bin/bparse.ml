@@ -35,7 +35,6 @@ type opts = {
   dump_funcs : bool;
   serial : bool;
   diff_with : string option;
-  metrics : bool;
   gap : bool;
 }
 
@@ -67,8 +66,6 @@ let report_cfg ~opts ~dt path g =
   Format.printf "parsed in %.3fs (%s, %d threads)@." dt
     (if opts.serial then "serial" else "parallel")
     (if opts.serial then 1 else opts.threads);
-  if opts.metrics then
-    Format.printf "metrics:@.%a@." Pbca_obs.Metrics.pp g.Cfg.metrics;
   (match opts.diff_with with
   | Some old_path ->
     let old_image = Pbca_binfmt.Image.load old_path in
@@ -247,7 +244,7 @@ let main files opts checkpoint resume batch fault_crash trace_out =
     |> List.fold_left max 0
 
 let run files threads dump serial diff_with checkpoint resume batch fault_crash
-    trace_out metrics gap =
+    trace_out gap =
   if files = [] then `Error (true, "at least one BINARY is required")
   else if serial && (checkpoint <> None || resume || batch || fault_crash >= 0)
   then
@@ -262,7 +259,7 @@ let run files threads dump serial diff_with checkpoint resume batch fault_crash
   else if fault_crash >= 0 && checkpoint = None then
     `Error (true, "--fault-crash requires --checkpoint")
   else
-    let opts = { threads; dump_funcs = dump; serial; diff_with; metrics; gap } in
+    let opts = { threads; dump_funcs = dump; serial; diff_with; gap } in
     `Ok (main files opts checkpoint resume batch fault_crash trace_out)
 
 let files = Arg.(value & pos_all file [] & info [] ~docv:"BINARY")
@@ -321,12 +318,6 @@ let trace_out =
            Chrome trace-event JSON (open in chrome://tracing or Perfetto); \
            also prints a per-phase wall breakdown in the summary")
 
-let metrics =
-  Arg.(
-    value & flag
-    & info [ "metrics" ]
-        ~doc:"Print the run's full metrics registry after each summary")
-
 let gap =
   Arg.(
     value & flag
@@ -343,6 +334,6 @@ let cmd =
     Term.(
       ret
         (const run $ files $ Pbca_cli.threads $ dump $ serial $ diff_with
-       $ checkpoint $ resume $ batch $ fault_crash $ trace_out $ metrics $ gap))
+       $ checkpoint $ resume $ batch $ fault_crash $ trace_out $ gap))
 
 let () = exit (Cmd.eval' cmd)

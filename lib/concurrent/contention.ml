@@ -12,14 +12,3 @@ let create () =
     resizes = Atomic.make 0;
     frozen_waits = Atomic.make 0;
   }
-
-let reset t =
-  Atomic.set t.probes 0;
-  Atomic.set t.cas_retries 0;
-  Atomic.set t.resizes 0;
-  Atomic.set t.frozen_waits 0
-
-let pp fmt t =
-  Format.fprintf fmt "probes=%d cas_retries=%d resizes=%d frozen_waits=%d"
-    (Atomic.get t.probes) (Atomic.get t.cas_retries) (Atomic.get t.resizes)
-    (Atomic.get t.frozen_waits)

@@ -15,7 +15,9 @@
       resize.
 
     All fields are plain [Atomic] counters; incrementing them is the
-    caller's (i.e. the container's) job. *)
+    caller's (i.e. the container's) job. A CFG builds its record from
+    cells of its metrics registry ([contention_probes] and so on), so
+    the registry reports them; {!create} makes standalone cells. *)
 
 type t = {
   probes : int Atomic.t;
@@ -25,5 +27,3 @@ type t = {
 }
 
 val create : unit -> t
-val reset : t -> unit
-val pp : Format.formatter -> t -> unit

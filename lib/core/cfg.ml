@@ -51,33 +51,6 @@ type jt_record = {
   jt_count : int;
 }
 
-type finalize_stats = {
-  mutable fz_jt_wall : float;
-  mutable fz_reach_wall : float;
-  mutable fz_bounds_wall : float;
-  mutable fz_rules_wall : float;
-  mutable fz_prune_wall : float;
-  mutable fz_recount_wall : float;
-  mutable fz_snapshot_wall : float;
-  mutable fz_rounds : int;
-  mutable fz_snapshots : int;
-  mutable fz_dirty : int list;
-}
-
-let fresh_finalize_stats () =
-  {
-    fz_jt_wall = 0.0;
-    fz_reach_wall = 0.0;
-    fz_bounds_wall = 0.0;
-    fz_rules_wall = 0.0;
-    fz_prune_wall = 0.0;
-    fz_recount_wall = 0.0;
-    fz_snapshot_wall = 0.0;
-    fz_rounds = 0;
-    fz_snapshots = 0;
-    fz_dirty = [];
-  }
-
 (* Which budget a degradation charged against; [B_deadline] also covers
    work skipped because the global deadline passed. *)
 type budget_site = B_block | B_slice | B_table | B_deadline
@@ -118,7 +91,6 @@ type stats = {
       (* (site label, exception text) per contained task crash *)
   contention : Pbca_concurrent.Contention.t;
       (* shared by every Addr_map and visited-set of this graph *)
-  finalize : finalize_stats;
   journal_records : int Atomic.t;
   replayed_ops : int Atomic.t;
   resume_count : int Atomic.t;
@@ -186,21 +158,56 @@ type t = {
   metrics : Pbca_obs.Metrics.t;
 }
 
+(* Provenance is derived unless tagged: [From_symbol] for symtab entries
+   and the image entry point, [From_call_target] otherwise. *)
+let confidence_of t (f : func) tag =
+  match tag with
+  | Some c -> conf_of_code c
+  | None ->
+    if f.f_from_symtab || f.f_entry_addr = t.image.Pbca_binfmt.Image.entry then
+      From_symbol
+    else From_call_target
+
+let func_confidence t (f : func) =
+  confidence_of t f (Addr_map.find t.conf f.f_entry_addr)
+
+(* (symbol, call-target, heuristic) function counts. Quiescent use only.
+   The tags are read by one fold, not a lookup per function: the census is
+   a registry gauge, and lookups would move the contention counters it is
+   printed beside. *)
+let conf_counts t =
+  let tags = Hashtbl.create 64 in
+  Addr_map.iter (Hashtbl.replace tags) t.conf;
+  Addr_map.fold
+    (fun a f (s, c, h) ->
+      match confidence_of t f (Hashtbl.find_opt tags a) with
+      | From_symbol -> (s + 1, c, h)
+      | From_call_target -> (s, c + 1, h)
+      | From_heuristic -> (s, c, h + 1))
+    t.funcs (0, 0, 0)
+
 let create ?(config = Config.default) ?(trace = Pbca_obs.Trace.disabled)
     image =
-  let counters = Pbca_concurrent.Contention.create () in
+  (* Per-run metrics registry: every statistic of the graph lives in it by
+     name. The typed fields of [stats] and the contention record are the
+     very cells the registry holds, so the hot paths pay nothing for it;
+     finalize interns its own counters. *)
+  let metrics = Pbca_obs.Metrics.create () in
+  let c = Pbca_obs.Metrics.counter metrics in
+  let counters =
+    {
+      Pbca_concurrent.Contention.probes = c "contention_probes";
+      cas_retries = c "contention_cas_retries";
+      resizes = c "contention_resizes";
+      frozen_waits = c "contention_frozen_waits";
+    }
+  in
   let amap () = Addr_map.create ~shards:config.Config.shards ~counters () in
   let static_entries = amap () in
   List.iter
     (fun (s : Pbca_binfmt.Symbol.t) ->
       ignore (Addr_map.insert_if_absent static_entries s.offset ()))
     (Pbca_binfmt.Symtab.functions image.Pbca_binfmt.Image.symtab);
-  (* Per-run metrics registry: every counter of [stats] is created in it
-     by name (the registry holds the very cells the parse increments), so
-     one [--metrics] dump or snapshot sees everything without the hot
-     paths paying for the unification. *)
-  let metrics = Pbca_obs.Metrics.create () in
-  let c = Pbca_obs.Metrics.counter metrics in
   let stats =
     {
       insns_decoded = c "insns_decoded";
@@ -215,7 +222,6 @@ let create ?(config = Config.default) ?(trace = Pbca_obs.Trace.disabled)
       budget_deadline = c "budget_deadline";
       task_failures = Pbca_concurrent.Conc_bag.create ();
       contention = counters;
-      finalize = fresh_finalize_stats ();
       journal_records = c "journal_records";
       replayed_ops = c "replayed_ops";
       resume_count = c "resume_count";
@@ -232,13 +238,6 @@ let create ?(config = Config.default) ?(trace = Pbca_obs.Trace.disabled)
       gap_entries_accepted = c "gap_entries_accepted";
       gap_entries_rejected = c "gap_entries_rejected";
     }
-  in
-  let () =
-    let rc = Pbca_obs.Metrics.register_counter metrics in
-    rc "contention_probes" counters.Pbca_concurrent.Contention.probes;
-    rc "contention_cas_retries" counters.Pbca_concurrent.Contention.cas_retries;
-    rc "contention_resizes" counters.Pbca_concurrent.Contention.resizes;
-    rc "contention_frozen_waits" counters.Pbca_concurrent.Contention.frozen_waits
   in
   let t =
     {
@@ -275,6 +274,13 @@ let create ?(config = Config.default) ?(trace = Pbca_obs.Trace.disabled)
   gf "decode_hits" (fun () -> float_of_int (Pbca_binfmt.Decode_cache.hits dc));
   gf "decode_misses" (fun () ->
       float_of_int (Pbca_binfmt.Decode_cache.misses dc));
+  let census pick () =
+    let s, c, h = conf_counts t in
+    float_of_int (pick s c h)
+  in
+  gf "conf_symbol" (census (fun s _ _ -> s));
+  gf "conf_call_target" (census (fun _ c _ -> c));
+  gf "conf_heuristic" (census (fun _ _ h -> h));
   t
 
 (* ------------------------------------------------------------------ *)
@@ -338,26 +344,8 @@ let set_conf t addr code =
 
 let conf_at t addr = Addr_map.find t.conf addr
 
-let func_confidence t (f : func) =
-  match Addr_map.find t.conf f.f_entry_addr with
-  | Some c -> conf_of_code c
-  | None ->
-    if f.f_from_symtab || f.f_entry_addr = t.image.Pbca_binfmt.Image.entry then
-      From_symbol
-    else From_call_target
-
 let conf_list t =
   Addr_map.fold (fun a c acc -> (a, c) :: acc) t.conf [] |> List.sort compare
-
-(* (symbol, call-target, heuristic) function counts. Quiescent use only. *)
-let conf_counts t =
-  Addr_map.fold
-    (fun _ f (s, c, h) ->
-      match func_confidence t f with
-      | From_symbol -> (s + 1, c, h)
-      | From_call_target -> (s, c + 1, h)
-      | From_heuristic -> (s, c, h + 1))
-    t.funcs (0, 0, 0)
 
 let degraded_list t =
   Addr_map.fold (fun a dl acc -> (a, dl) :: acc) t.degraded []

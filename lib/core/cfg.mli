@@ -86,26 +86,6 @@ type jt_record = {
   jt_count : int;  (** entries materialized as edges *)
 }
 
-(** Per-step finalization observability, written by {!Finalize} (both the
-    snapshot-indexed path and the legacy whole-graph path): wall seconds
-    per step, fix-round count, CSR snapshot rebuild count, and the
-    dirty-set size of each tail-call fix round ([fz_dirty], oldest round
-    first; the legacy path records the full function count each round
-    since it recomputes every boundary). Mutated only from the master
-    thread between parallel steps. *)
-type finalize_stats = {
-  mutable fz_jt_wall : float;  (** jump-table over-approximation cleanup *)
-  mutable fz_reach_wall : float;  (** unreachable-block pruning (all rounds) *)
-  mutable fz_bounds_wall : float;  (** function-boundary recomputation *)
-  mutable fz_rules_wall : float;  (** tail-call correction rule scans *)
-  mutable fz_prune_wall : float;  (** function pruning rounds *)
-  mutable fz_recount_wall : float;  (** final instruction recount *)
-  mutable fz_snapshot_wall : float;  (** CSR snapshot builds (snapshot path) *)
-  mutable fz_rounds : int;  (** tail-call fix rounds executed *)
-  mutable fz_snapshots : int;  (** CSR snapshots built (snapshot path) *)
-  mutable fz_dirty : int list;  (** boundary recomputations per fix round *)
-}
-
 (** Which budget a degradation charged against. [B_deadline] also covers
     work skipped because the global work-unit deadline passed. *)
 type budget_site = B_block | B_slice | B_table | B_deadline
@@ -125,6 +105,9 @@ val conf_of_code : int -> confidence
 val confidence_name : confidence -> string
 (** ["symbol" / "call-target" / "heuristic"]. *)
 
+(** Typed handles on the graph's registry counters: every [int Atomic.t]
+    field below is the cell that [metrics] holds under the field's name,
+    incremented directly by the hot paths. *)
 type stats = {
   insns_decoded : int Atomic.t;
   blocks_created : int Atomic.t;
@@ -146,8 +129,9 @@ type stats = {
   contention : Pbca_concurrent.Contention.t;
       (** probe / CAS-retry / resize / frozen-wait counters shared by every
           address map and visited-set of this graph — the direct measure of
-          how contended the lock-free hot paths actually were *)
-  finalize : finalize_stats;
+          how contended the lock-free hot paths actually were. Registry
+          cells [contention_probes], [contention_cas_retries],
+          [contention_resizes] and [contention_frozen_waits] *)
   journal_records : int Atomic.t;
       (** construction ops emitted to an attached {!Journal} writer *)
   replayed_ops : int Atomic.t;
@@ -235,9 +219,14 @@ type t = {
           Chrome-exportable) and the parser's tasks, whose work units and
           dependency edges the replay model reads *)
   metrics : Pbca_obs.Metrics.t;
-      (** per-run registry holding every counter above by name (plus the
-          adopted contention counters and the decode-cache gauges), for
-          [--metrics] dumps and snapshot-diff scoping *)
+      (** per-run registry, the one home of the graph's statistics: every
+          counter of [stats] and of its contention record under the field's
+          name, the [finalize_*] counters {!Finalize} interns, and gauge
+          functions for the graph counts ([blocks], [funcs], [degraded],
+          [task_failures]), the image's decode cache ([decode_hits],
+          [decode_misses]) and the confidence census ([conf_symbol],
+          [conf_call_target], [conf_heuristic]). {!Summary.pp_stats}
+          renders it; {!Checkpoint} saves counters from it by name *)
 }
 
 val create :

@@ -17,7 +17,9 @@ type snapshot = {
 }
 
 (* Counter order is part of the format (version-gated): a loader seeing a
-   different count restores the prefix it knows about. *)
+   different count restores the prefix it knows about. Each name is the
+   graph's registry counter of that name, saved and restored through
+   [Metrics.counter]. *)
 let counter_names =
   [|
     "insns_decoded";
@@ -33,23 +35,6 @@ let counter_names =
     "gap_entries_proposed";
     "gap_entries_accepted";
     "gap_entries_rejected";
-  |]
-
-let counter_cells (s : Cfg.stats) =
-  [|
-    s.Cfg.insns_decoded;
-    s.Cfg.splits;
-    s.Cfg.jt_analyses;
-    s.Cfg.jt_unresolved;
-    s.Cfg.budget_block;
-    s.Cfg.budget_slice;
-    s.Cfg.budget_table;
-    s.Cfg.journal_records;
-    s.Cfg.replayed_ops;
-    s.Cfg.gap_gaps_scanned;
-    s.Cfg.gap_entries_proposed;
-    s.Cfg.gap_entries_accepted;
-    s.Cfg.gap_entries_rejected;
   |]
 
 (* ------------------------------------------------------------------ *)
@@ -156,11 +141,12 @@ let save ~path ~round ~pending ~seq_floor ~progress_s (g : Cfg.t) =
   Buffer.add_int32_le hdr (Int32.of_int (Atomic.get g.Cfg.stats.Cfg.resume_count));
   Buffer.add_int64_le hdr (Int64.of_int seq_floor);
   Buffer.add_int64_le hdr (Int64.bits_of_float progress_s);
-  let cells = counter_cells g.Cfg.stats in
-  Buffer.add_uint16_le hdr (Array.length cells);
+  Buffer.add_uint16_le hdr (Array.length counter_names);
   Array.iter
-    (fun c -> Buffer.add_int64_le hdr (Int64.of_int (Atomic.get c)))
-    cells;
+    (fun name ->
+      let v = Pbca_obs.Metrics.(count (counter g.Cfg.metrics name)) in
+      Buffer.add_int64_le hdr (Int64.of_int v))
+    counter_names;
   frame buf hdr;
   let seq = ref 0 in
   List.iter

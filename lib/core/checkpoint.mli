@@ -21,7 +21,8 @@ val magic : string
 val version : int
 
 val counter_names : string array
-(** Names of the header counters, in wire order. *)
+(** Names of the header counters, in wire order: each is a counter of the
+    graph's metrics registry, saved and restored by that name. *)
 
 type snapshot = {
   cp_round : int;  (** construction round the snapshot was taken at *)

@@ -35,8 +35,9 @@ type t = {
   deadline_poll_every : int;
       (** poll the real clock only every N deadline checks (the verdict is
           latched once true, so coarsening only delays detection by at most
-          N-1 work units); [Cfg.stats] counts checks vs. polls so
-          [Summary.pp_stats] can report the syscalls saved *)
+          N-1 work units); [Cfg.stats] counts checks vs. polls
+          ([deadline_checks] minus [deadline_polls] is the syscalls
+          saved) *)
   csr_compact_threshold : float;
       (** dead fraction of the finalize CSR snapshot above which delta
           kills trigger a compaction (a fresh {!Csr.build}) instead of

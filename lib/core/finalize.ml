@@ -4,40 +4,27 @@ module Task_pool = Pbca_concurrent.Task_pool
 module Atomic_intset = Pbca_concurrent.Atomic_intset
 module Frontier = Pbca_concurrent.Frontier
 module Trace = Pbca_obs.Trace
+module Metrics = Pbca_obs.Metrics
 
 (* ------------------------------------------------------------------ *)
-(* Per-step observability: both entry points reset the graph's         *)
-(* [finalize_stats] and attribute wall time to the step that spent it. *)
-(* Monotonic clock — a wall-clock step mid-finalize must not produce   *)
-(* negative (or inflated) per-step walls. Each timed call is also a    *)
-(* span in the graph's observability trace.                            *)
+(* Per-step observability. The graph's registry holds [finalize_rounds],
+   [finalize_snapshots], [finalize_redo_funcs] (boundary recomputes in the
+   fix rounds after the first) and one counter of integer nanoseconds per
+   step, [finalize_<step>_ns], which [timed] adds to. Monotonic clock — a
+   wall-clock step mid-finalize must not produce negative (or inflated)
+   per-step walls. Each timed call is also a span in the graph's trace,
+   named [name] (default [step]). *)
 
-let timed ?(phase = "fz-step") g name cell f =
-  Trace.with_span g.Cfg.trace ~phase name (fun () ->
+let counter g name = Metrics.counter g.Cfg.metrics ("finalize_" ^ name)
+
+let timed ?(phase = "fz-step") ?name g step f =
+  let ns = counter g (step ^ "_ns") in
+  Trace.with_span g.Cfg.trace ~phase (Option.value name ~default:step)
+    (fun () ->
       let t0 = Pbca_obs.Clock.now () in
       let r = f () in
-      cell (Pbca_obs.Clock.elapsed t0);
+      Metrics.add ns (int_of_float (Pbca_obs.Clock.elapsed t0 *. 1e9));
       r)
-
-let reset_stats (fz : Cfg.finalize_stats) =
-  fz.Cfg.fz_jt_wall <- 0.0;
-  fz.Cfg.fz_reach_wall <- 0.0;
-  fz.Cfg.fz_bounds_wall <- 0.0;
-  fz.Cfg.fz_rules_wall <- 0.0;
-  fz.Cfg.fz_prune_wall <- 0.0;
-  fz.Cfg.fz_recount_wall <- 0.0;
-  fz.Cfg.fz_snapshot_wall <- 0.0;
-  fz.Cfg.fz_rounds <- 0;
-  fz.Cfg.fz_snapshots <- 0;
-  fz.Cfg.fz_dirty <- []
-
-let t_jt fz dt = fz.Cfg.fz_jt_wall <- fz.Cfg.fz_jt_wall +. dt
-let t_reach fz dt = fz.Cfg.fz_reach_wall <- fz.Cfg.fz_reach_wall +. dt
-let t_bounds fz dt = fz.Cfg.fz_bounds_wall <- fz.Cfg.fz_bounds_wall +. dt
-let t_rules fz dt = fz.Cfg.fz_rules_wall <- fz.Cfg.fz_rules_wall +. dt
-let t_prune fz dt = fz.Cfg.fz_prune_wall <- fz.Cfg.fz_prune_wall +. dt
-let t_recount fz dt = fz.Cfg.fz_recount_wall <- fz.Cfg.fz_recount_wall +. dt
-let t_snap fz dt = fz.Cfg.fz_snapshot_wall <- fz.Cfg.fz_snapshot_wall +. dt
 
 (* ------------------------------------------------------------------ *)
 (* Step 1: jump-table over-approximation cleanup.                      *)
@@ -495,49 +482,46 @@ let prune_functions_snap g (snap : Csr.t) =
 (* ------------------------------------------------------------------ *)
 
 let run_legacy ~pool g =
-  let fz = g.Cfg.stats.Cfg.finalize in
-  reset_stats fz;
-  timed g "jt-clean" (t_jt fz) (fun () -> clean_jump_tables ~pool g);
-  ignore (timed g "reach" (t_reach fz) (fun () -> prune_unreachable g));
+  let rounds = counter g "rounds" and redo = counter g "redo_funcs" in
+  timed g ~name:"jt-clean" "jt" (fun () -> clean_jump_tables ~pool g);
+  ignore (timed g "reach" (fun () -> prune_unreachable g));
   (* tail-call correction: boundaries and rules alternate; each edge flips
-     at most once so this converges quickly *)
+     at most once so this converges quickly. Every round recomputes every
+     boundary, so the rounds after the first redo them all. *)
   let rec fix n =
-    let nfuncs = timed g "bounds" (t_bounds fz) (fun () -> compute_boundaries ~pool g) in
-    (* accumulate newest-first, one [List.rev] at the end: the append
-       form was quadratic in the round count *)
-    fz.Cfg.fz_dirty <- nfuncs :: fz.Cfg.fz_dirty;
-    let flipped = timed g "rules" (t_rules fz) (fun () -> correct_tail_calls g) in
-    fz.Cfg.fz_rounds <- fz.Cfg.fz_rounds + 1;
+    let nfuncs = timed g "bounds" (fun () -> compute_boundaries ~pool g) in
+    if n > 0 then Metrics.add redo nfuncs;
+    let flipped = timed g "rules" (fun () -> correct_tail_calls g) in
+    Metrics.incr rounds;
     if flipped && n < 8 then fix (n + 1)
   in
   fix 0;
   (* removing functions can strand their blocks; removing blocks can strip
      a function's last incoming call — iterate to a (small) fixed point *)
   let rec prune n =
-    let a = timed g "prune" (t_prune fz) (fun () -> prune_functions g) in
+    let a = timed g "prune" (fun () -> prune_functions g) in
     let b =
-      if a then timed g "reach" (t_reach fz) (fun () -> prune_unreachable g) else false
+      if a then timed g "reach" (fun () -> prune_unreachable g) else false
     in
     if (a || b) && n < 8 then prune (n + 1)
   in
   prune 0;
-  ignore (timed g "bounds" (t_bounds fz) (fun () -> compute_boundaries ~pool g));
+  ignore (timed g "bounds" (fun () -> compute_boundaries ~pool g));
   (* instruction counts are approximate during parsing (splits shrink blocks
      concurrently); recompute them from the final block extents *)
-  timed g "recount" (t_recount fz) (fun () ->
+  timed g "recount" (fun () ->
       let blocks = Array.of_list (Cfg.blocks_list g) in
       Task_pool.parallel_for pool 0 (Array.length blocks) (fun i ->
           let b = blocks.(i) in
-          Atomic.set b.Cfg.b_ninsns (List.length (Disasm.block_insns g b))));
-  fz.Cfg.fz_dirty <- List.rev fz.Cfg.fz_dirty
+          Atomic.set b.Cfg.b_ninsns (List.length (Disasm.block_insns g b))))
 
 let run ~pool g =
-  let fz = g.Cfg.stats.Cfg.finalize in
-  reset_stats fz;
-  timed g "jt-clean" (t_jt fz) (fun () -> clean_jump_tables ~pool g);
+  let rounds = counter g "rounds" and redo = counter g "redo_funcs" in
+  let snapshots = counter g "snapshots" in
+  timed g ~name:"jt-clean" "jt" (fun () -> clean_jump_tables ~pool g);
   let build ~phase =
-    timed ~phase g phase (t_snap fz) (fun () ->
-        fz.Cfg.fz_snapshots <- fz.Cfg.fz_snapshots + 1;
+    timed ~phase ~name:phase g "snapshot" (fun () ->
+        Metrics.incr snapshots;
         Csr.build ~pool g)
   in
   let snap = ref (build ~phase:"csr-build") in
@@ -562,7 +546,7 @@ let run ~pool g =
     end
   in
   if
-    timed g "reach" (t_reach fz) (fun () ->
+    timed g "reach" (fun () ->
         counting_kills (fun () -> prune_unreachable_snap ~pool g !snap))
   then maybe_compact ();
   (* Tail-call fix rounds: round 0 computes every boundary and scans every
@@ -607,7 +591,7 @@ let run ~pool g =
     end
   in
   let recompute ~collect (dirty : Cfg.func array) =
-    timed g "bounds" (t_bounds fz) (fun () ->
+    timed g "bounds" (fun () ->
         let nd = Array.length dirty in
         Task_pool.parallel_for pool 0 nd (fun i ->
             newb.(i) <- boundary_idx g !snap dirty.(i));
@@ -629,15 +613,15 @@ let run ~pool g =
         done)
   in
   let rec fix round (dirty : Cfg.func array) =
-    fz.Cfg.fz_dirty <- Array.length dirty :: fz.Cfg.fz_dirty;
     let collect = round > 0 in
     if collect then begin
+      Metrics.add redo (Array.length dirty);
       Pbca_concurrent.Atomic_bitset.reset blk_seen;
       cand_len := 0
     end;
     recompute ~collect dirty;
     let decisions =
-      timed g "rules" (t_rules fz) (fun () ->
+      timed g "rules" (fun () ->
           if collect then
             Task_pool.parallel_for_reduce pool ~chunk:256 0 !cand_len ~init:[]
               ~map:(fun p ->
@@ -654,7 +638,7 @@ let run ~pool g =
                 | None -> [])
               ~combine:List.rev_append)
     in
-    fz.Cfg.fz_rounds <- fz.Cfg.fz_rounds + 1;
+    Metrics.incr rounds;
     if decisions <> [] then begin
       let next = Hashtbl.create 64 in
       List.iter
@@ -679,11 +663,11 @@ let run ~pool g =
      through the delta layer, so every reader stays valid without a
      rebuild and compaction is purely a scan-speed decision *)
   let rec prune n =
-    let a = timed g "prune" (t_prune fz) (fun () -> prune_functions_snap g !snap) in
+    let a = timed g "prune" (fun () -> prune_functions_snap g !snap) in
     let b =
       if a then begin
         let p =
-          timed g "reach" (t_reach fz) (fun () ->
+          timed g "reach" (fun () ->
               counting_kills (fun () -> prune_unreachable_snap ~pool g !snap))
         in
         if p then maybe_compact ();
@@ -700,7 +684,7 @@ let run ~pool g =
      active task (and thus dropped), which hid a real parallel phase
      from the replay model *)
   Trace.barrier g.Cfg.trace;
-  timed g "bounds" (t_bounds fz) (fun () ->
+  timed g "bounds" (fun () ->
       Task_pool.parallel_for pool 0 (Array.length funcs) (fun i ->
           let f = funcs.(i) in
           Trace.with_task g.Cfg.trace ~deps:[] "bounds" (fun () ->
@@ -708,12 +692,11 @@ let run ~pool g =
   (* instruction counts are approximate during parsing (splits shrink
      blocks concurrently); recompute them from the final block extents —
      of the blocks still live in the (possibly delta-carrying) snapshot *)
-  timed g "recount" (t_recount fz) (fun () ->
+  timed g "recount" (fun () ->
       let s = !snap in
       let blocks = s.Csr.blocks in
       Task_pool.parallel_for pool 0 (Array.length blocks) (fun i ->
           if Csr.block_live s i then begin
             let b = blocks.(i) in
             Atomic.set b.Cfg.b_ninsns (List.length (Disasm.block_insns g b))
-          end));
-  fz.Cfg.fz_dirty <- List.rev fz.Cfg.fz_dirty
+          end))

@@ -42,8 +42,12 @@
     {!run_legacy} is the pre-snapshot path — serial hash-table
     reachability and whole-graph boundary/rule passes every round — kept
     as the reference the finalize tests compare {!run} against. Both
-    paths produce {!Cfg_diff}-identical graphs and record per-step wall
-    timings into the graph's [stats.finalize].
+    paths produce {!Cfg_diff}-identical graphs and count into the graph's
+    metrics registry: [finalize_rounds], [finalize_snapshots] (snapshot
+    path), [finalize_redo_funcs] (boundary recomputes in the fix rounds
+    after the first) and per-step wall time in integer nanoseconds,
+    [finalize_{jt,reach,bounds,rules,prune,recount,snapshot}_ns]. A graph
+    is finalized once; a second run adds to the same counters.
 
     Afterwards, [f_blocks] holds each function's body, every dead edge and
     block is gone from the maps, and the CFG is read-only for clients

@@ -61,22 +61,6 @@ let load src =
    themselves; the resumed run starts a fresh journal (plus an immediate
    checkpoint) once the graph is rebuilt.                               *)
 
-let counter_cell (s : Cfg.stats) = function
-  | "insns_decoded" -> Some s.Cfg.insns_decoded
-  | "splits" -> Some s.Cfg.splits
-  | "jt_analyses" -> Some s.Cfg.jt_analyses
-  | "jt_unresolved" -> Some s.Cfg.jt_unresolved
-  | "budget_block" -> Some s.Cfg.budget_block
-  | "budget_slice" -> Some s.Cfg.budget_slice
-  | "budget_table" -> Some s.Cfg.budget_table
-  | "journal_records" -> Some s.Cfg.journal_records
-  | "replayed_ops" -> Some s.Cfg.replayed_ops
-  | "gap_gaps_scanned" -> Some s.Cfg.gap_gaps_scanned
-  | "gap_entries_proposed" -> Some s.Cfg.gap_entries_proposed
-  | "gap_entries_accepted" -> Some s.Cfg.gap_entries_accepted
-  | "gap_entries_rejected" -> Some s.Cfg.gap_entries_rejected
-  | _ -> None
-
 let apply (g : Cfg.t) plan ~on_jt_pending =
   assert (g.Cfg.journal = None);
   let replayed = ref 0 in
@@ -208,9 +192,9 @@ let apply (g : Cfg.t) plan ~on_jt_pending =
   Array.iteri
     (fun i v ->
       if i < Array.length Checkpoint.counter_names then
-        match counter_cell g.Cfg.stats Checkpoint.counter_names.(i) with
-        | Some cell -> Atomic.set cell v
-        | None -> ())
+        Atomic.set
+          (Pbca_obs.Metrics.counter g.Cfg.metrics Checkpoint.counter_names.(i))
+          v)
     plan.pl_counters;
   ignore (Atomic.fetch_and_add g.Cfg.stats.Cfg.replayed_ops !replayed);
   Atomic.set g.Cfg.stats.Cfg.resume_count (plan.pl_resume_count + 1);

@@ -150,105 +150,26 @@ let func_ranges _g (f : Cfg.func) =
   in
   merge sorted
 
+(* Every nonzero statistic of the graph's registry as [name=value], sorted
+   by name, then the trace's wall per phase when a recorder was attached:
+   the per-run answer to "where did the time go". *)
 let pp_stats fmt (g : Cfg.t) =
-  let s = g.Cfg.stats in
-  let dc = g.Cfg.image.Pbca_binfmt.Image.dcache in
-  (* scheduler numbers are this run's snapshot-diff (recorded by
-     Parallel), not a process-global — a concurrent parse on another
-     pool cannot leak into them *)
-  Format.fprintf fmt
-    "blocks=%d funcs=%d insns=%d splits=%d edges=%d jt=%d jt_unresolved=%d@ \
-     %a@ decode_hits=%d decode_misses=%d decode_hit_rate=%.2f@ steals=%d \
-     steal_attempts=%d idle_sleeps=%d"
-    (Addr_map.length g.Cfg.blocks)
-    (Addr_map.length g.Cfg.funcs)
-    (Atomic.get s.insns_decoded) (Atomic.get s.splits)
-    (Atomic.get s.edges_created) (Atomic.get s.jt_analyses)
-    (Atomic.get s.jt_unresolved) Pbca_concurrent.Contention.pp s.contention
-    (Pbca_binfmt.Decode_cache.hits dc)
-    (Pbca_binfmt.Decode_cache.misses dc)
-    (Pbca_binfmt.Decode_cache.hit_rate dc)
-    (Atomic.get s.sched_steals)
-    (Atomic.get s.sched_steal_attempts)
-    (Atomic.get s.sched_idle_sleeps);
-  let degraded = Cfg.degraded_count g in
-  let failures = Cfg.task_failure_count g in
-  if
-    degraded > 0 || failures > 0
-    || Atomic.get s.budget_block > 0
-    || Atomic.get s.budget_slice > 0
-    || Atomic.get s.budget_table > 0
-    || Atomic.get s.budget_deadline > 0
-  then
-    Format.fprintf fmt
-      "@ robustness: degraded=%d budget[block=%d slice=%d table=%d \
-       deadline=%d] task_failures=%d"
-      degraded
-      (Atomic.get s.budget_block)
-      (Atomic.get s.budget_slice)
-      (Atomic.get s.budget_table)
-      (Atomic.get s.budget_deadline)
-      failures;
-  if
-    Atomic.get s.journal_records > 0
-    || Atomic.get s.replayed_ops > 0
-    || Atomic.get s.resume_count > 0
-    || Atomic.get s.supervisor_restarts > 0
-  then
-    Format.fprintf fmt
-      "@ recovery: journal_records=%d replayed_ops=%d resume_count=%d \
-       supervisor_restarts=%d"
-      (Atomic.get s.journal_records)
-      (Atomic.get s.replayed_ops)
-      (Atomic.get s.resume_count)
-      (Atomic.get s.supervisor_restarts);
-  if
-    Atomic.get s.gap_gaps_scanned > 0
-    || Atomic.get s.gap_entries_proposed > 0
-  then begin
-    let sym, ct, heur = Cfg.conf_counts g in
-    Format.fprintf fmt
-      "@ gap: gaps=%d proposed=%d accepted=%d rejected=%d \
-       confidence[symbol=%d call-target=%d heuristic=%d]"
-      (Atomic.get s.gap_gaps_scanned)
-      (Atomic.get s.gap_entries_proposed)
-      (Atomic.get s.gap_entries_accepted)
-      (Atomic.get s.gap_entries_rejected)
-      sym ct heur
-  end;
-  if Atomic.get s.deadline_checks > 0 then
-    Format.fprintf fmt
-      "@ deadline_clock: checks=%d polls=%d syscalls_saved=%d"
-      (Atomic.get s.deadline_checks)
-      (Atomic.get s.deadline_polls)
-      (Atomic.get s.deadline_checks - Atomic.get s.deadline_polls);
-  let fz = s.finalize in
-  if fz.Cfg.fz_rounds > 0 then
-    Format.fprintf fmt
-      "@ finalize: rounds=%d snapshots=%d csr_deltas=%d csr_compactions=%d \
-       dirty=[%s]@ finalize_wall_ms: \
-       jt=%.2f reach=%.2f bounds=%.2f rules=%.2f prune=%.2f recount=%.2f \
-       snapshot=%.2f"
-      fz.Cfg.fz_rounds fz.Cfg.fz_snapshots
-      (Atomic.get s.csr_deltas)
-      (Atomic.get s.csr_compactions)
-      (String.concat ";" (List.map string_of_int fz.Cfg.fz_dirty))
-      (1000. *. fz.Cfg.fz_jt_wall)
-      (1000. *. fz.Cfg.fz_reach_wall)
-      (1000. *. fz.Cfg.fz_bounds_wall)
-      (1000. *. fz.Cfg.fz_rules_wall)
-      (1000. *. fz.Cfg.fz_prune_wall)
-      (1000. *. fz.Cfg.fz_recount_wall)
-      (1000. *. fz.Cfg.fz_snapshot_wall);
-  (* phase breakdown from the span trace (when one was attached): total
-     span wall per phase, the per-run answer to "where did time go" *)
-  if Pbca_obs.Trace.enabled g.Cfg.trace then begin
-    match Pbca_obs.Trace.phase_walls g.Cfg.trace with
-    | [] -> ()
-    | walls ->
-      Format.fprintf fmt "@ phase_wall_ms:";
-      List.iter
-        (fun (phase, w) ->
-          Format.fprintf fmt " %s=%.2f" phase (1000. *. w))
-        walls
-  end
+  let module Metrics = Pbca_obs.Metrics in
+  let nonzero = function
+    | _, Metrics.Counter 0 | _, Metrics.Gauge 0.0 -> false
+    | _, Metrics.Histogram { n = 0; _ } -> false
+    | _ -> true
+  in
+  Format.fprintf fmt "@[<hov>%a"
+    (Format.pp_print_list ~pp_sep:Format.pp_print_space (fun fmt (name, v) ->
+         Format.fprintf fmt "%s=%a" name Metrics.pp_value v))
+    (List.filter nonzero (Metrics.snapshot g.Cfg.metrics));
+  (if Pbca_obs.Trace.enabled g.Cfg.trace then
+     match Pbca_obs.Trace.phase_walls g.Cfg.trace with
+     | [] -> ()
+     | walls ->
+       Format.fprintf fmt "@ phase_wall_ms:";
+       List.iter
+         (fun (phase, w) -> Format.fprintf fmt " %s=%.2f" phase (1000. *. w))
+         walls);
+  Format.fprintf fmt "@]"

@@ -51,13 +51,9 @@ val func_ranges : Cfg.t -> Cfg.func -> (int * int) list
     with ground-truth ranges. *)
 
 val pp_stats : Format.formatter -> Cfg.t -> unit
-(** One-line-per-group parse statistics: graph counts, the graph's
-    {!Pbca_concurrent.Contention} counters, the image's decode-cache hit
-    rate, and this run's scheduler counters ([stats.sched_*], the
-    snapshot-diff of the pool's counters around the parse). When the
-    graph has been finalized ([fz_rounds > 0]), also the finalization
-    round/snapshot counts, per-round dirty-set sizes and per-step wall
-    times in milliseconds from [stats.finalize]. When gap parsing ran, a
-    [gap:] line with gaps scanned, entries proposed/accepted/rejected and
-    the per-confidence function census. When a span trace was attached, a
-    [phase_wall_ms] breakdown of span wall per phase. *)
+(** The graph's statistics as one box of [name=value] entries: every
+    nonzero entry of its metrics registry ([metrics]: the parse,
+    contention, scheduler, deadline, recovery, gap and [finalize_*]
+    counters, and the graph-count, decode-cache and confidence-census
+    gauges), sorted by name. When a span trace was attached, followed by
+    a [phase_wall_ms] breakdown of span wall per phase. *)

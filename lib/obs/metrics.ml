@@ -42,12 +42,6 @@ let counter t name =
     (fun () -> E_counter (Atomic.make 0))
     (function E_counter c -> Some c | _ -> None)
 
-let register_counter t name cell =
-  ignore
-    (intern t name
-       (fun () -> E_counter cell)
-       (function E_counter c -> Some c | _ -> None))
-
 let gauge t name =
   intern t name
     (fun () -> E_gauge (Atomic.make 0.0))
@@ -61,9 +55,11 @@ let register_gauge_fn t name f =
   in
   ()
 
+(* Duration buckets in seconds, 1 us .. 10 s, ten log-spaced bounds per
+   decade: each bucket spans x1.26, so a quantile read from the buckets
+   is within 26% of the true value, not a decade away. *)
 let default_bounds =
-  (* log-ish duration buckets in seconds: 1 us .. 10 s *)
-  [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 0.1; 1.0; 10.0 |]
+  Array.init 71 (fun i -> 10. ** (float_of_int (i - 60) /. 10.))
 
 let histogram ?(bounds = default_bounds) t name =
   intern t name
@@ -87,13 +83,15 @@ let rec gauge_add g dv =
   let cur = Atomic.get g in
   if not (Atomic.compare_and_set g cur (cur +. dv)) then gauge_add g dv
 
+(* The first bucket whose upper bound is >= v (binary search); the
+   +inf bucket when v exceeds every bound. *)
 let bucket_index bounds v =
-  let n = Array.length bounds in
-  let i = ref 0 in
-  while !i < n && v > bounds.(!i) do
-    i := !i + 1
+  let lo = ref 0 and hi = ref (Array.length bounds) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if v > bounds.(mid) then lo := mid + 1 else hi := mid
   done;
-  !i
+  !lo
 
 let observe h v =
   Atomic.incr h.h_counts.(bucket_index h.h_bounds v);
@@ -182,16 +180,37 @@ let diff ~before ~after =
       | _, Some _ -> Some (name, v))
     after
 
+(* Rank [q * n] located in its bucket and interpolated linearly between
+   the bucket's bounds (the first bucket starts at 0); a rank in the +inf
+   bucket reads the last finite bound. *)
+let quantile q buckets =
+  let n = List.fold_left (fun acc (_, c) -> acc + c) 0 buckets in
+  let rank = q *. float_of_int n in
+  let rec go lo below = function
+    | [] -> nan
+    | (hi, c) :: rest ->
+      let upto = below + c in
+      if c > 0 && float_of_int upto >= rank then
+        if Float.is_finite hi then
+          lo +. ((hi -. lo) *. (rank -. float_of_int below) /. float_of_int c)
+        else lo
+      else go hi upto rest
+  in
+  if n = 0 then nan else go 0.0 0 buckets
+
 let pp_value fmt = function
   | Counter n -> Format.fprintf fmt "%d" n
+  | Gauge g when Float.is_integer g -> Format.fprintf fmt "%.0f" g
   | Gauge g -> Format.fprintf fmt "%g" g
   | Histogram { n; sum; buckets } ->
-    Format.fprintf fmt "n=%d sum=%g buckets=[%s]" n sum
+    Format.fprintf fmt "n=%d sum=%g p50=%g p99=%g buckets=[%s]" n sum
+      (quantile 0.50 buckets) (quantile 0.99 buckets)
       (String.concat ";"
-         (List.map
+         (List.filter_map
             (fun (b, c) ->
-              if Float.is_finite b then Printf.sprintf "<=%g:%d" b c
-              else Printf.sprintf "inf:%d" c)
+              if c = 0 then None
+              else if Float.is_finite b then Some (Printf.sprintf "<=%g:%d" b c)
+              else Some (Printf.sprintf "inf:%d" c))
             buckets))
 
 let pp fmt t =

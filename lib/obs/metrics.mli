@@ -1,12 +1,12 @@
 (** Named counter / gauge / histogram registry with per-run scoping.
 
     One registry is created per analysis run (each {!Pbca_core.Cfg.t}
-    owns one), so two concurrent runs never share handles and resetting
-    one run's numbers cannot clobber another's — the race the old
-    process-global scheduler counters had. Existing hot-path
-    atomics are adopted with {!register_counter} (the registry stores
-    the same [Atomic.t] the mutating code increments), so unification
-    costs the hot paths nothing.
+    owns one and holds every statistic of its graph in it), so two
+    concurrent runs never share handles and resetting one run's numbers
+    cannot clobber another's — the race the old process-global scheduler
+    counters had. A counter handle is the [int Atomic.t] cell the
+    registry stores, so a hot path that keeps the handle in a record
+    field pays nothing for the registry.
 
     Registration (find-or-create by name) takes a mutex; handle updates
     are plain atomics. Updates are linearizable: each increment is an
@@ -25,10 +25,6 @@ val counter : t -> string -> counter
 (** Find-or-create. Raises [Invalid_argument] if [name] is already
     registered with a different kind. *)
 
-val register_counter : t -> string -> int Atomic.t -> unit
-(** Adopt an existing atomic as the named counter: the registry reads
-    the very cell the caller keeps incrementing. *)
-
 val gauge : t -> string -> gauge
 
 val register_gauge_fn : t -> string -> (unit -> float) -> unit
@@ -36,7 +32,8 @@ val register_gauge_fn : t -> string -> (unit -> float) -> unit
 
 val histogram : ?bounds:float array -> t -> string -> histogram
 (** [bounds] are upper bucket bounds, strictly increasing; an implicit
-    +inf bucket is appended. Default: log-spaced 1us..10s durations. *)
+    +inf bucket is appended. Default: durations from 1us to 10s, ten
+    log-spaced bounds per decade (each bucket spans x1.26). *)
 
 val incr : counter -> unit
 val add : counter -> int -> unit
@@ -57,6 +54,13 @@ type value =
 val snapshot : t -> (string * value) list
 (** Current values, sorted by name. *)
 
+val quantile : float -> (float * int) list -> float
+(** [quantile q buckets] estimates the [q]-quantile ([0 <= q <= 1]) of a
+    snapshot's histogram buckets: the bucket that holds rank [q * n],
+    interpolated linearly between its lower and upper bound. With the
+    default bounds the estimate is within 26% of the true value; a rank
+    in the +inf bucket reads the last finite bound. [nan] when empty. *)
+
 val merge : into:t -> t -> unit
 (** Fold a registry's current values into another: counters and
     histograms add, gauges take the source's value. Used to aggregate
@@ -68,6 +72,11 @@ val diff :
   (string * value) list
 (** What happened between two snapshots of one registry: counters and
     histogram buckets subtract, gauges keep the [after] value. *)
+
+val pp_value : Format.formatter -> value -> unit
+(** A counter or integral gauge as an integer, other gauges with [%g], a
+    histogram as [n= sum= p50= p99= buckets=[...]] listing only its
+    non-empty buckets. *)
 
 val pp : Format.formatter -> t -> unit
 (** One [name value] line per entry, sorted by name. *)

@@ -24,16 +24,15 @@ type task = {
 (* Per-domain state: the completed-span buffer and the innermost open
    task, which receives ticks ([no_task] outside any task; the tasks it
    suspended wait on the OCaml stack of [with_task]). Only its owner
-   domain touches it; [drain] (master, at a barrier, no task running —
-   the Journal discipline) moves the buffer's batch out. *)
-type local = { mutable pending : span list; mutable top : span }
+   domain [dom] touches it; [drain] (master, at a barrier, no task
+   running — the Journal discipline) moves the buffer's batch out. *)
+type local = { dom : int; mutable pending : span list; mutable top : span }
 
 type t = {
   enabled : bool;
   origin : float;
   next_ordinal : int Atomic.t;
   epoch : int Atomic.t; (* barriers so far *)
-  key : local Domain.DLS.key;
   locals : local list Atomic.t; (* every per-domain state ever created *)
   drained : span list list Atomic.t; (* batches moved out at barriers *)
 }
@@ -57,20 +56,46 @@ let no_task =
   }
 
 let make ~enabled =
-  let locals = Atomic.make [] in
   {
     enabled;
     origin = Clock.now ();
     next_ordinal = Atomic.make 0;
     epoch = Atomic.make 0;
-    key =
-      Domain.DLS.new_key (fun () ->
-          let l = { pending = []; top = no_task } in
-          push_atomic locals l;
-          l);
-    locals;
+    locals = Atomic.make [];
     drained = Atomic.make [];
   }
+
+(* One process-wide DLS slot, not one per recorder: OCaml never frees a
+   DLS key, and every domain's DLS array would keep each recorder's
+   state alive. The slot caches the state of the recorder this domain
+   touched last, identified by its [locals] cell; on a miss the state is
+   looked up by domain id among the recorder's [locals], or created. *)
+type cache = { mutable owner : local list Atomic.t; mutable cached : local }
+
+let cache_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        owner = Atomic.make [];
+        cached = { dom = -1; pending = []; top = no_task };
+      })
+
+let[@inline never] local_miss t c =
+  let dom = (Domain.self () :> int) in
+  let l =
+    match List.find_opt (fun l -> l.dom = dom) (Atomic.get t.locals) with
+    | Some l -> l
+    | None ->
+      let l = { dom; pending = []; top = no_task } in
+      push_atomic t.locals l;
+      l
+  in
+  c.owner <- t.locals;
+  c.cached <- l;
+  l
+
+let[@inline] local t =
+  let c = Domain.DLS.get cache_key in
+  if c.owner == t.locals then c.cached else local_miss t c
 
 let disabled = make ~enabled:false
 let create () = make ~enabled:true
@@ -104,10 +129,10 @@ let with_span t ~phase ?(addr = -1) name f =
     let s = open_span t ~phase ~addr ~deps:[] ~epoch:(-1) name in
     match f () with
     | v ->
-      close_span t (Domain.DLS.get t.key) s;
+      close_span t (local t) s;
       v
     | exception e ->
-      close_span t (Domain.DLS.get t.key) s;
+      close_span t (local t) s;
       raise e
   end
 
@@ -127,7 +152,7 @@ let with_task t ?(addr = -1) ~deps label f =
         ~deps:(List.filter_map Fun.id deps)
         ~epoch:(Atomic.get t.epoch) label
     in
-    let l = Domain.DLS.get t.key in
+    let l = local t in
     let outer = l.top in
     l.top <- s;
     match f () with
@@ -142,13 +167,13 @@ let with_task t ?(addr = -1) ~deps label f =
 let capture t =
   if not t.enabled then None
   else
-    let s = (Domain.DLS.get t.key).top in
+    let s = (local t).top in
     if s == no_task then None
     else Some { dep_task = s.sp_ordinal; dep_offset = s.sp_cost }
 
 let tick t n =
   if t.enabled then
-    let s = (Domain.DLS.get t.key).top in
+    let s = (local t).top in
     if s != no_task then s.sp_cost <- s.sp_cost + n
 
 let barrier t = if t.enabled then Atomic.incr t.epoch

@@ -22,8 +22,11 @@
     owner-only writes, zero shared-cache traffic on the hot path);
     {!drain} runs at barriers, when no span is mid-append, and moves
     every buffer's batch into the shared collected set. Each domain also
-    keeps its innermost open task there. A disabled trace costs one
-    branch per call site. *)
+    keeps its innermost open task there. The per-domain states belong to
+    the recorder: one process-wide DLS slot caches the calling domain's
+    state for the recorder it touched last, so a dropped recorder is
+    freed whole (a DLS key per recorder never would be). A disabled
+    trace costs one branch per call site. *)
 
 type dep = { dep_task : int; dep_offset : int }
 (** Satisfied once the task whose ordinal is [dep_task] has executed

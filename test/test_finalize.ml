@@ -251,7 +251,8 @@ let fuzz_paths () =
       let legacy = Pbca_core.Parallel.parse ~pool r.Emit.image in
       Pbca_core.Finalize.run_legacy ~pool legacy;
       assert_graphs_equal (tag ^ ": legacy vs snapshot") legacy snap1;
-      if snap1.C.stats.C.finalize.C.fz_rounds < 1 then
+      let rounds = Pbca_obs.Metrics.counter snap1.C.metrics "finalize_rounds" in
+      if Pbca_obs.Metrics.count rounds < 1 then
         Alcotest.failf "%s: finalize ran no round" tag)
     subjects
 

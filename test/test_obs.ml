@@ -74,18 +74,12 @@ let test_metrics_parallel_histogram () =
 
 let test_metrics_adopt_and_kinds () =
   let m = Metrics.create () in
-  let cell = Atomic.make 0 in
-  Metrics.register_counter m "adopted" cell;
-  Atomic.incr cell;
-  Atomic.incr cell;
-  (* the registry reads the very cell the hot path increments *)
-  Alcotest.(check int) "adopted cell is shared" 2
-    (Metrics.count (Metrics.counter m "adopted"));
+  Metrics.incr (Metrics.counter m "counted");
   Metrics.register_gauge_fn m "computed" (fun () -> 7.5);
   (match List.assoc "computed" (Metrics.snapshot m) with
   | Metrics.Gauge v -> Alcotest.(check (float 0.0)) "gauge fn" 7.5 v
   | _ -> Alcotest.fail "computed is not a gauge");
-  match Metrics.gauge m "adopted" with
+  match Metrics.gauge m "counted" with
   | _ -> Alcotest.fail "kind mismatch must raise"
   | exception Invalid_argument _ -> ()
 
@@ -107,6 +101,39 @@ let test_metrics_merge_diff () =
   (match List.assoc "c" (Metrics.diff ~before ~after:(Metrics.snapshot a)) with
   | Metrics.Counter d -> Alcotest.(check int) "diff subtracts counters" 3 d
   | _ -> Alcotest.fail "c is not a counter")
+
+(* Ten buckets per decade: a quantile read from the buckets is a value
+   within one bucket's width (x1.26) of the truth, not a decade edge. *)
+let test_metrics_quantiles () =
+  let m = Metrics.create () in
+  let h = Metrics.histogram m "lat" in
+  for _ = 1 to 900 do
+    Metrics.observe h 0.003
+  done;
+  for _ = 1 to 100 do
+    Metrics.observe h 0.070
+  done;
+  (match List.assoc "lat" (Metrics.snapshot m) with
+  | Metrics.Histogram { buckets; _ } ->
+    let within what truth v =
+      if Float.abs (v -. truth) > 0.26 *. truth then
+        Alcotest.failf "%s = %g, not within 26%% of %g" what v truth
+    in
+    within "p50" 0.003 (Metrics.quantile 0.50 buckets);
+    within "p99" 0.070 (Metrics.quantile 0.99 buckets)
+  | _ -> Alcotest.fail "lat is not a histogram");
+  (* the dump carries the quantiles and only the occupied buckets *)
+  let txt = Format.asprintf "%a" Metrics.pp m in
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool)
+        ("dump shows " ^ needle)
+        true
+        (Tutil.contains txt needle))
+    [ "p50="; "p99=" ];
+  Alcotest.(check bool)
+    "dump skips empty buckets" false
+    (Tutil.contains txt ":0;" || Tutil.contains txt ":0]")
 
 (* ------------------------------ trace --------------------------------- *)
 
@@ -264,6 +291,73 @@ let test_trace_overhead () =
     Alcotest.failf "spans cover %.3f of the traced parse wall (bound 0.95)"
       coverage
 
+(* A recorder keeps its per-domain state itself, behind one process-wide
+   DLS slot: recorders that are created, used and dropped leave no live
+   heap behind. A DLS key per recorder is never freed, and every domain's
+   DLS array keeps the recorder's state: about 35 bytes per recorder. *)
+let test_trace_recorders_freed () =
+  let cycle () =
+    let t = Trace.create () in
+    Trace.with_task t ~deps:[] "t" (fun () -> Trace.tick t 1);
+    ignore (Trace.total_work t)
+  in
+  let live_words () =
+    Gc.full_major ();
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  cycle ();
+  let w0 = live_words () in
+  for _ = 1 to 100_000 do
+    cycle ()
+  done;
+  let grown =
+    float_of_int ((live_words () - w0) * (Sys.word_size / 8)) /. 1e6
+  in
+  if grown >= 0.5 then
+    Alcotest.failf "100,000 dropped recorders grew live heap by %.2f MB" grown
+
+(* Summary.pp_stats renders the graph's registry: every nonzero counter
+   shows as a [name=value] token, finalize and the confidence census
+   included, followed by the trace's phase walls. *)
+let test_pp_stats_renders_registry () =
+  let module Family = Pbca_codegen.Family in
+  let r =
+    Family.strip (Pbca_codegen.Emit.generate (Family.profile Stripped 0))
+  in
+  let trace = Trace.create () in
+  let g =
+    Pbca_core.Parallel.parse_and_finalize
+      ~config:{ Pbca_core.Config.default with gap_parse = true }
+      ~trace ~pool:(TP.create ~threads:2) r.Pbca_codegen.Emit.image
+  in
+  let txt = Format.asprintf "%a" Pbca_core.Summary.pp_stats g in
+  let tokens =
+    String.split_on_char ' ' (String.map (function '\n' -> ' ' | c -> c) txt)
+  in
+  let has tok = List.mem tok tokens in
+  let snapshot = Metrics.snapshot g.Pbca_core.Cfg.metrics in
+  List.iter
+    (function
+      | name, Metrics.Counter n when n <> 0 ->
+        let tok = Printf.sprintf "%s=%d" name n in
+        if not (has tok) then Alcotest.failf "pp_stats lacks %s in %S" tok txt
+      | _ -> ())
+    snapshot;
+  List.iter
+    (fun prefix ->
+      Alcotest.(check bool)
+        ("pp_stats shows " ^ prefix)
+        true
+        (List.exists (String.starts_with ~prefix) tokens))
+    [
+      "insns_decoded=";
+      "finalize_rounds=";
+      "gap_entries_accepted=";
+      "conf_heuristic=";
+      "phase_wall_ms:";
+    ]
+
 let test_trace_disabled_is_free () =
   let t = Trace.disabled in
   Alcotest.(check bool) "disabled" false (Trace.enabled t);
@@ -283,12 +377,18 @@ let suite =
     Tutil.quick "metrics: adoption and kind safety"
       test_metrics_adopt_and_kinds;
     Tutil.quick "metrics: merge and diff" test_metrics_merge_diff;
+    Tutil.quick "metrics: p50 and p99 within a bucket of the truth"
+      test_metrics_quantiles;
     Tutil.quick "trace: chrome JSON well-formed, covers wall"
       test_trace_chrome_json;
     Tutil.quick "trace: per-domain spans nest, ordinals monotone"
       test_trace_span_discipline;
     Tutil.quick "trace: disabled trace records nothing"
       test_trace_disabled_is_free;
+    Tutil.quick "trace: dropped recorders leave no live heap"
+      test_trace_recorders_freed;
+    Tutil.quick "summary: pp_stats renders every registry counter"
+      test_pp_stats_renders_registry;
     Tutil.slow "trace: overhead and span coverage, paired medians"
       test_trace_overhead;
   ]

@@ -376,18 +376,56 @@ let test_resume_counters_surface () =
               "journal_records > 0" true
               (Atomic.get s.Cfg.journal_records > 0);
             Alcotest.(check int) "resume_count" 1 (Atomic.get s.Cfg.resume_count);
-            (* the stats line surfaces the recovery counters *)
+            (* the stats line surfaces the recovery counters by name *)
             let txt = Format.asprintf "%a" Summary.pp_stats g in
-            let contains hay needle =
-              let nh = String.length hay and nn = String.length needle in
-              let rec go i =
-                i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
-              in
-              go 0
-            in
             Alcotest.(check bool)
-              "pp_stats shows recovery" true
-              (contains txt "recovery")))
+              "pp_stats shows replayed_ops" true
+              (contains txt "replayed_ops=")))
+
+(* Every checkpointed counter is a registry counter of the graph, saved
+   and restored by its name: a fresh graph already holds each name as a
+   counter (a misspelt name would intern a new cell silently), and replay
+   restores each one to the saved value. *)
+let test_resume_counters_by_name () =
+  let module Metrics = Pbca_obs.Metrics in
+  let img =
+    (Pbca_codegen.Family.generate Pbca_codegen.Family.Stripped 0).Emit.image
+  in
+  let config = { Config.default with Config.gap_parse = true } in
+  with_artifacts (fun cp j ->
+      ignore
+        (parse ~config
+           ~persist:{ Parallel.p_journal = j; p_checkpoint = cp; p_every = 1 }
+           img);
+      match load_plan ~cp ~j () with
+      | Error e -> Alcotest.failf "load failed: %s" (Parse_error.to_string e)
+      | Ok plan ->
+        let names = Checkpoint.counter_names in
+        let saved = plan.Recover.pl_counters in
+        Alcotest.(check int)
+          "one saved value per name" (Array.length names) (Array.length saved);
+        Alcotest.(check bool)
+          "the checkpoint counted decoded instructions" true (saved.(0) > 0);
+        let g = Cfg.create ~config img in
+        let fresh = Metrics.snapshot g.Cfg.metrics in
+        Array.iter
+          (fun name ->
+            match List.assoc_opt name fresh with
+            | Some (Metrics.Counter _) -> ()
+            | _ -> Alcotest.failf "%s is not a counter of a fresh graph" name)
+          names;
+        let replayed =
+          Recover.apply g plan ~on_jt_pending:(fun ~end_:_ ~reg:_ -> ())
+        in
+        Array.iteri
+          (fun i name ->
+            let want =
+              if name = "replayed_ops" then saved.(i) + replayed else saved.(i)
+            in
+            Alcotest.(check int)
+              (name ^ " restored") want
+              (Metrics.count (Metrics.counter g.Cfg.metrics name)))
+          names)
 
 (* --------------------------- supervisor ------------------------------ *)
 
@@ -548,4 +586,6 @@ let suite =
     quick "deadline clock: latches after tripping" test_deadline_clock_latches;
     quick "deadline clock: free when unbounded" test_deadline_clock_infinite_free;
     quick "resume: overhead under 2x the lost work" test_resume_overhead;
+    quick "resume: every checkpointed counter restored by name"
+      test_resume_counters_by_name;
   ]

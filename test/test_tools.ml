@@ -10,11 +10,6 @@ module Reg = Pbca_isa.Reg
 module CG = Pbca_analysis.Callgraph
 module Slice = Pbca_analysis.Slice
 
-let contains hay needle =
-  let n = String.length needle and m = String.length hay in
-  let rec go i = i + n <= m && (String.sub hay i n = needle || go (i + 1)) in
-  go 0
-
 (* ------------------------------- dot ---------------------------------- *)
 
 let test_dot_func () =

@@ -13,6 +13,11 @@ let qcheck ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count ~name gen prop)
 
+let contains hay needle =
+  let n = String.length needle and m = String.length hay in
+  let rec go i = i + n <= m && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
 let median xs =
   let a = Array.of_list xs in
   Array.sort compare a;
