@@ -110,11 +110,6 @@ let phase_trace result name =
     (fun (p : H.phase) -> if p.ph_name = name then p.ph_trace else None)
     result.H.phases
 
-let phase_wall1 result name =
-  List.fold_left
-    (fun acc (p : H.phase) -> if p.ph_name = name then acc +. p.ph_wall else acc)
-    0.0 result.H.phases
-
 (* end-to-end hpcstruct time at T threads: parallel phases scale by their
    trace, serial phases stay fixed (Amdahl, paper Section 8.2) *)
 let hpcstruct_wall result threads =
@@ -139,13 +134,13 @@ let table2 runs =
         (fun t ->
           let dwarf =
             match phase_trace r "dwarf" with
-            | Some tr -> sim_wall tr (phase_wall1 r "dwarf") t
-            | None -> phase_wall1 r "dwarf"
+            | Some tr -> sim_wall tr (H.phase_wall r "dwarf") t
+            | None -> H.phase_wall r "dwarf"
           in
           let cfg =
             match phase_trace r "cfg" with
-            | Some tr -> sim_wall tr (phase_wall1 r "cfg") t
-            | None -> phase_wall1 r "cfg"
+            | Some tr -> sim_wall tr (H.phase_wall r "cfg") t
+            | None -> H.phase_wall r "cfg"
           in
           Printf.printf "%-12s %7d %10.4f %10.4f %12.4f\n"
             (if t = 1 then sr_name else "")

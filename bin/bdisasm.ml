@@ -1,10 +1,10 @@
 (* Disassembler CLI: objdump-style listing of an SBF binary, annotated with
-   the parsed CFG (function headers, block boundaries, edge summaries). *)
+   the parsed CFG (function headers, block boundaries, edge summaries). A
+   malformed binary exits 2. *)
 
 open Cmdliner
 
-let run path threads func_filter dot_out =
-  let image = Pbca_binfmt.Image.load path in
+let listing image threads func_filter dot_out =
   let pool = Pbca_concurrent.Task_pool.create ~threads in
   let g = Pbca_core.Parallel.parse_and_finalize ~pool image in
   let funcs = Pbca_core.Cfg.funcs_list g in
@@ -47,6 +47,13 @@ let run path threads func_filter dot_out =
         f.f_blocks)
     funcs
 
+let run path threads func_filter dot_out =
+  match Pbca_cli.or_malformed path (fun () -> Pbca_binfmt.Image.load path) with
+  | Error _ -> 2
+  | Ok image ->
+    listing image threads func_filter dot_out;
+    0
+
 let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"BINARY")
 
 let func =
@@ -63,4 +70,4 @@ let cmd =
     (Cmd.info "bdisasm" ~doc:"Disassemble a binary with CFG annotations")
     Term.(const run $ path $ Pbca_cli.threads $ func $ dot)
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cmd.eval' cmd)

@@ -1,4 +1,5 @@
-(* Feature-extraction CLI (the BinFeat case study). *)
+(* Feature-extraction CLI (the BinFeat case study). A malformed member of
+   the corpus is skipped, the rest extracted, and the run exits 2. *)
 
 open Cmdliner
 
@@ -9,9 +10,17 @@ let run dir threads top simulate =
     |> List.sort compare
     |> List.map (fun f -> Filename.concat dir f)
   in
-  if files = [] then Printf.eprintf "no .sbf files in %s\n" dir
+  if files = [] then begin
+    Printf.eprintf "no .sbf files in %s\n" dir;
+    0
+  end
   else begin
-    let images = List.map Pbca_binfmt.Image.load files in
+    let loaded =
+      List.map
+        (fun f -> Pbca_cli.or_malformed f (fun () -> Pbca_binfmt.Image.load f))
+        files
+    in
+    let images = List.filter_map Result.to_option loaded in
     let pool = Pbca_concurrent.Task_pool.create ~threads in
     let r = Pbca_binfeat.Binfeat.extract ~pool images in
     Printf.printf "%d binaries, %d functions, %d distinct features\n"
@@ -27,7 +36,8 @@ let run dir threads top simulate =
       r.stages;
     List.iter
       (fun (f, c) -> Printf.printf "  %-24s %d\n" f c)
-      (Pbca_binfeat.Binfeat.top_features r top)
+      (Pbca_binfeat.Binfeat.top_features r top);
+    if List.exists Result.is_error loaded then 2 else 0
   end
 
 let dir = Arg.(required & pos 0 (some dir) None & info [] ~docv:"CORPUS_DIR")
@@ -41,4 +51,4 @@ let cmd =
     (Cmd.info "binfeat" ~doc:"Extract forensic features from a corpus")
     Term.(const run $ dir $ Pbca_cli.threads $ top $ simulate)
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cmd.eval' cmd)

@@ -33,7 +33,6 @@ module Clock = Pbca_obs.Clock
 type opts = {
   threads : int;
   dump_funcs : bool;
-  serial : bool;
   diff_with : string option;
   gap : bool;
 }
@@ -60,15 +59,12 @@ let load_plan arts =
    trace-coverage figure printed with --trace *)
 let parse_wall_total = ref 0.0
 
-let report_cfg ~opts ~dt path g =
+let report_cfg ~opts ~dt ~old path g =
   parse_wall_total := !parse_wall_total +. dt;
   Format.printf "%s: %a@." path Pbca_core.Summary.pp_stats g;
-  Format.printf "parsed in %.3fs (%s, %d threads)@." dt
-    (if opts.serial then "serial" else "parallel")
-    (if opts.serial then 1 else opts.threads);
-  (match opts.diff_with with
-  | Some old_path ->
-    let old_image = Pbca_binfmt.Image.load old_path in
+  Format.printf "parsed in %.3fs (parallel, %d threads)@." dt opts.threads;
+  (match old with
+  | Some (old_path, old_image) ->
     let old_g = Pbca_core.Serial.parse_and_finalize old_image in
     Format.printf "diff vs %s:@ %a@." old_path Pbca_core.Cfg_diff.pp
       (Pbca_core.Cfg_diff.diff old_g g)
@@ -94,14 +90,21 @@ let report_cfg ~opts ~dt path g =
    make progress even when the crash mangled the artifacts). *)
 let run_one ~pool ~opts ~trace ~persist ~resume_mode ~attempt path :
     Supervisor.outcome =
-  match
-    try Ok (Pbca_binfmt.Image.load path) with Parse_error.Error e -> Error e
-  with
-  | Error e ->
-    let msg = Parse_error.to_string e in
-    Format.eprintf "%s: malformed: %s@." path msg;
-    Supervisor.Rejected msg
-  | Ok image -> (
+  let load p = Pbca_cli.or_malformed p (fun () -> Pbca_binfmt.Image.load p) in
+  (* the --diff image is input too: a malformed one is rejected up front,
+     not found after the parse *)
+  let images =
+    Result.bind (load path) (fun image ->
+        match opts.diff_with with
+        | None -> Ok (image, None)
+        | Some old_path -> (
+          match load old_path with
+          | Ok old -> Ok (image, Some (old_path, old))
+          | Error msg -> Error (old_path ^ ": " ^ msg)))
+  in
+  match images with
+  | Error msg -> Supervisor.Rejected msg
+  | Ok (image, old) -> (
     let resume =
       match resume_mode with
       | `No -> Ok None
@@ -136,13 +139,11 @@ let run_one ~pool ~opts ~trace ~persist ~resume_mode ~attempt path :
           else None
         in
         let g =
-          if opts.serial then Pbca_core.Serial.parse_and_finalize ?config image
-          else
-            Parallel.parse_and_finalize ?config ~trace ?persist ?resume ~pool
-              image
+          Parallel.parse_and_finalize ?config ~trace ?persist ?resume ~pool
+            image
         in
         Atomic.set g.Cfg.stats.Cfg.supervisor_restarts attempt;
-        report_cfg ~opts ~dt:(Clock.elapsed t0) path g;
+        report_cfg ~opts ~dt:(Clock.elapsed t0) ~old path g;
         let _, _, heuristic_funcs = Cfg.conf_counts g in
         if
           Cfg.degraded_count g > 0
@@ -243,29 +244,20 @@ let main files opts checkpoint resume batch fault_crash trace_out =
       files
     |> List.fold_left max 0
 
-let run files threads dump serial diff_with checkpoint resume batch fault_crash
+let run files threads dump diff_with checkpoint resume batch fault_crash
     trace_out gap =
   if files = [] then `Error (true, "at least one BINARY is required")
-  else if serial && (checkpoint <> None || resume || batch || fault_crash >= 0)
-  then
-    `Error
-      ( true,
-        "--serial cannot be combined with --checkpoint, --resume, --batch or \
-         --fault-crash" )
-  else if serial && trace_out <> None then
-    `Error (true, "--trace requires the parallel parser")
   else if resume && checkpoint = None then
     `Error (true, "--resume requires --checkpoint")
   else if fault_crash >= 0 && checkpoint = None then
     `Error (true, "--fault-crash requires --checkpoint")
   else
-    let opts = { threads; dump_funcs = dump; serial; diff_with; gap } in
+    let opts = { threads; dump_funcs = dump; diff_with; gap } in
     `Ok (main files opts checkpoint resume batch fault_crash trace_out)
 
 let files = Arg.(value & pos_all file [] & info [] ~docv:"BINARY")
 
 let dump = Arg.(value & flag & info [ "funcs" ] ~doc:"Dump per-function details")
-let serial = Arg.(value & flag & info [ "serial" ] ~doc:"Use the serial parser")
 
 let diff_with =
   Arg.(
@@ -333,7 +325,7 @@ let cmd =
     (Cmd.info "bparse" ~doc:"Construct and summarize a binary's CFG")
     Term.(
       ret
-        (const run $ files $ Pbca_cli.threads $ dump $ serial $ diff_with
-       $ checkpoint $ resume $ batch $ fault_crash $ trace_out $ gap))
+        (const run $ files $ Pbca_cli.threads $ dump $ diff_with $ checkpoint
+       $ resume $ batch $ fault_crash $ trace_out $ gap))
 
 let () = exit (Cmd.eval' cmd)

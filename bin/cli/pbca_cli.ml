@@ -1,4 +1,4 @@
-(* Command-line arguments shared by the tools. *)
+(* Command-line arguments and input handling shared by the tools. *)
 
 open Cmdliner
 
@@ -18,3 +18,10 @@ let threads =
     value
     & opt (conv (parse, Format.pp_print_int)) 4
     & info [ "j"; "threads" ] ~docv:"N" ~doc:"Worker threads (at least 1)")
+
+let or_malformed path f =
+  try Ok (f ())
+  with Pbca_binfmt.Parse_error.Error e ->
+    let msg = Pbca_binfmt.Parse_error.to_string e in
+    Format.eprintf "%s: malformed: %s@." path msg;
+    Error msg

@@ -1,15 +1,9 @@
-(* Program-structure recovery CLI (the hpcstruct case study). *)
+(* Program-structure recovery CLI (the hpcstruct case study). A malformed
+   binary exits 2. *)
 
 open Cmdliner
 
-let run path threads out simulate =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let bytes = Bytes.create n in
-  really_input ic bytes 0 n;
-  close_in ic;
-  let pool = Pbca_concurrent.Task_pool.create ~threads in
-  let r = Pbca_hpcstruct.Hpcstruct.run ~pool bytes in
+let report (r : Pbca_hpcstruct.Hpcstruct.result) out simulate =
   Printf.printf "%-9s %10s %10s" "phase" "wall(s)" "work";
   if simulate then Printf.printf "  %s" "sim-speedup@{1,16,64}";
   print_newline ();
@@ -36,6 +30,21 @@ let run path threads out simulate =
     Printf.printf "wrote %s (%d bytes)\n" path (String.length r.output)
   | None -> ()
 
+let run path threads out simulate =
+  let ic = open_in_bin path in
+  let n = in_channel_length ic in
+  let bytes = Bytes.create n in
+  really_input ic bytes 0 n;
+  close_in ic;
+  let pool = Pbca_concurrent.Task_pool.create ~threads in
+  match
+    Pbca_cli.or_malformed path (fun () -> Pbca_hpcstruct.Hpcstruct.run ~pool bytes)
+  with
+  | Error _ -> 2
+  | Ok r ->
+    report r out simulate;
+    0
+
 let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"BINARY")
 
 let out =
@@ -49,4 +58,4 @@ let cmd =
     (Cmd.info "hpcstruct" ~doc:"Recover program structure from a binary")
     Term.(const run $ path $ Pbca_cli.threads $ out $ simulate)
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cmd.eval' cmd)

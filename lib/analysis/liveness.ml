@@ -47,26 +47,3 @@ let compute g (fv : Func_view.t) =
     done
   done;
   { live_in; live_out }
-
-let live_at g fv t i addr =
-  (* walk the block backward from its end to [addr] *)
-  let insns = List.rev (Func_view.insns g fv i) in
-  let rec go live = function
-    | [] -> live
-    | (a, insn, _) :: rest ->
-      let live =
-        Reg.Set.union (Semantics.uses insn)
-          (Reg.Set.diff live (Semantics.defs insn))
-      in
-      if a = addr then live else go live rest
-  in
-  go t.live_out.(i) insns
-
-let avg_live t =
-  let n = Array.length t.live_in in
-  if n = 0 then 0.0
-  else
-    let sum =
-      Array.fold_left (fun acc s -> acc + Pbca_isa.Reg.Set.cardinal s) 0 t.live_in
-    in
-    float_of_int sum /. float_of_int n

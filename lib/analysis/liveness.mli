@@ -12,10 +12,3 @@ type t = {
 }
 
 val compute : Pbca_core.Cfg.t -> Func_view.t -> t
-
-val live_at :
-  Pbca_core.Cfg.t -> Func_view.t -> t -> int -> int -> Pbca_isa.Reg.Set.t
-(** [live_at g fv t block_idx addr] — registers live just before the
-    instruction at [addr] within the block. *)
-
-val avg_live : t -> float

@@ -41,7 +41,3 @@ let store t a r =
 
 let hits t = Atomic.get t.hits
 let misses t = Atomic.get t.misses
-
-let hit_rate t =
-  let h = hits t and m = misses t in
-  if h + m = 0 then 0.0 else float_of_int h /. float_of_int (h + m)

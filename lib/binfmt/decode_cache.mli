@@ -34,4 +34,3 @@ val store : t -> int -> (Pbca_isa.Insn.t * int) option -> unit
 
 val hits : t -> int
 val misses : t -> int
-val hit_rate : t -> float

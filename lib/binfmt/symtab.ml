@@ -33,13 +33,13 @@ type t = {
   by_typed : Symbol.t list By_str.t;
 }
 
-let create ?(shards = 64) () =
+let create () =
   {
-    master = Master.create ~shards ();
-    by_offset = By_int.create ~shards ();
-    by_mangled = By_str.create ~shards ();
-    by_pretty = By_str.create ~shards ();
-    by_typed = By_str.create ~shards ();
+    master = Master.create ();
+    by_offset = By_int.create ();
+    by_mangled = By_str.create ();
+    by_pretty = By_str.create ();
+    by_typed = By_str.create ();
   }
 
 let push_int m k s =

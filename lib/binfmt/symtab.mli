@@ -3,15 +3,18 @@
     Supports lookup by offset, mangled name, pretty name and typed name. The
     original Dyninst structure was a Boost [multi_index_container] behind one
     mutex; the redesign — reproduced here — keys a master concurrent map by
-    the symbol itself, and lets the thread that wins the master insertion
-    update the four secondary indices while holding the master entry's lock,
-    so the collective entries are updated in a total order. Lookups are only
-    issued in quiescent phases, so they need no locking discipline beyond the
-    per-entry atomicity the maps already give. *)
+    the symbol itself. Only the thread that wins the master insertion
+    touches the four secondary indices: after the insertion returns, it
+    pushes the symbol onto each index's entry through that map's per-key
+    atomic [update]. So every symbol lands exactly once in every index,
+    however many threads insert it; the order of the symbols within one
+    entry is unspecified. Lookups are only issued in quiescent phases, so
+    they need no locking discipline beyond the per-entry atomicity the maps
+    already give. *)
 
 type t
 
-val create : ?shards:int -> unit -> t
+val create : unit -> t
 
 val insert : t -> Symbol.t -> bool
 (** [insert t s] adds [s] to every index. Returns [false] (and changes

@@ -477,11 +477,3 @@ let score_discovery (gt : GT.t) (g : Cfg.t) =
     ds_precision = ratio !found (!found + !spurious);
     ds_recall = ratio !found relevant;
   }
-
-let pp_discovery fmt d =
-  Format.fprintf fmt
-    "entries %d/%d found (symbol=%d call-target=%d heuristic=%d), %d \
-     missed, %d spurious (%d heuristic); precision=%.3f recall=%.3f"
-    d.ds_found d.ds_relevant d.ds_found_symbol d.ds_found_call_target
-    d.ds_found_heuristic d.ds_missed d.ds_spurious d.ds_spurious_heuristic
-    d.ds_precision d.ds_recall

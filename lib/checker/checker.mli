@@ -80,5 +80,3 @@ type discovery = {
 
 val score_discovery :
   Pbca_codegen.Ground_truth.t -> Pbca_core.Cfg.t -> discovery
-
-val pp_discovery : Format.formatter -> discovery -> unit

@@ -84,7 +84,6 @@ let arm ~seed ~n ~window mode =
 
 let starved () = Atomic.get starved_flag
 let injected_count () = Atomic.get injected
-let crash_pending () = Atomic.get crash_flag >= 0
 
 let check_crash () =
   let k = Atomic.get crash_flag in
@@ -149,8 +148,6 @@ let disarm_service () =
   Atomic.set service_plan None;
   Atomic.set service_counter 0;
   Atomic.set service_injected 0
-
-let service_armed () = Atomic.get service_plan <> None
 
 let arm_service_at assoc =
   disarm_service ();

@@ -73,9 +73,6 @@ val starved : unit -> bool
 val injected_count : unit -> int
 (** Faults fired since arming. *)
 
-val crash_pending : unit -> bool
-(** True once a [Crash] fault has fired and has not yet been consumed. *)
-
 val check_crash : unit -> unit
 (** Consume a pending crash: raises {!Crashed} if one fired, else no-op.
     Drivers call this at quiescent points, {e before} committing state. *)
@@ -99,7 +96,6 @@ val arm_service : seed:int -> n:int -> window:int -> service list -> unit
     plan. *)
 
 val disarm_service : unit -> unit
-val service_armed : unit -> bool
 
 val service_next : unit -> service option
 (** Called by the daemon once per admitted work request; returns the

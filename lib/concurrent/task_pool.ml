@@ -340,7 +340,3 @@ let parallel_for_reduce t ?chunk lo hi ~init ~map ~combine =
     raise_failures (List.rev (Atomic.get errs));
     Array.fold_left (fun acc r -> combine acc !r) init partials
   end
-
-let parallel_iter_list t xs f =
-  let arr = Array.of_list xs in
-  parallel_for t 0 (Array.length arr) (fun i -> f arr.(i))

@@ -84,10 +84,6 @@ val parallel_for_reduce :
   combine:('b -> 'b -> 'b) ->
   'b
 
-(** [parallel_iter_list t xs f] applies [f] to each element of [xs] as
-    separate tasks. *)
-val parallel_iter_list : t -> 'a list -> ('a -> unit) -> unit
-
 (** [worker_index ()] is the caller's deque slot in the region it is
     working on: 0 for the domain that called {!run} (and outside any
     region), [1 .. threads - 1] for the helpers. Two tasks running at

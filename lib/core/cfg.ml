@@ -202,7 +202,8 @@ let create ?(config = Config.default) ?(trace = Pbca_obs.Trace.disabled)
       frozen_waits = c "contention_frozen_waits";
     }
   in
-  let amap () = Addr_map.create ~shards:config.Config.shards ~counters () in
+  (* initial bucket count of each address map; the maps grow on demand *)
+  let amap () = Addr_map.create ~shards:128 ~counters () in
   let static_entries = amap () in
   List.iter
     (fun (s : Pbca_binfmt.Symbol.t) ->
@@ -332,8 +333,6 @@ let budget_counter t = function
 let mark_degraded ?(deadline = false) t addr =
   if addr >= 0 && Addr_map.insert_if_absent t.degraded addr deadline then
     jemit t (Journal.Op_degraded { addr; deadline })
-
-let unmark_degraded t addr = ignore (Addr_map.remove t.degraded addr)
 
 (* Confidence tagging. First writer wins (a heuristic proposal tagged
    before the traversal reaches the same address keeps its tag); every

@@ -257,9 +257,6 @@ val degraded_at : t -> int -> bool
 val degraded_count : t -> int
 val degraded_within : t -> lo:int -> hi:int -> bool
 
-val unmark_degraded : t -> int -> unit
-(** Drop a mark (resume only: the work is about to be re-done). *)
-
 val degraded_list : t -> (int * bool) list
 (** Sorted [(addr, deadline_caused)] marks. Quiescent use only. *)
 

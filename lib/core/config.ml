@@ -2,7 +2,6 @@ type t = {
   eager_noreturn : bool;
   decode_cache : bool;
   jt_union : bool;
-  shards : int;
   max_block_bytes : int;
   max_slice_steps : int;
   max_table_entries : int;
@@ -17,7 +16,6 @@ let default =
     eager_noreturn = true;
     decode_cache = true;
     jt_union = true;
-    shards = 128;
     max_block_bytes = 65536;
     max_slice_steps = 4096;
     max_table_entries = 4096;

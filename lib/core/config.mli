@@ -15,7 +15,6 @@ type t = {
       (** take the union of jump-table targets over analyzable paths instead
           of failing the whole table when one path resists analysis
           (paper Section 5.3) *)
-  shards : int;  (** shard count for the concurrent maps *)
   max_block_bytes : int;
       (** decode-byte budget per block scan; a block that keeps decoding
           past this many bytes (hostile input: no terminator in sight) is

@@ -29,9 +29,3 @@ let terminator g b =
     match List.rev (block_insns g b) with
     | ((_, i, _) as last) :: _ when Semantics.is_control_flow i -> Some last
     | _ -> None)
-
-let ends_with_teardown_jump g b =
-  match List.rev (block_insns g b) with
-  | (_, Pbca_isa.Insn.Jmp _, _) :: (_, prev, _) :: _ ->
-    Semantics.is_stack_teardown prev
-  | _ -> false

@@ -12,8 +12,3 @@ val block_insns : Cfg.t -> Cfg.block -> (int * Pbca_isa.Insn.t * int) list
 val terminator : Cfg.t -> Cfg.block -> (int * Pbca_isa.Insn.t * int) option
 (** Last instruction of a resolved block, if it is a control-flow
     instruction. *)
-
-val ends_with_teardown_jump : Cfg.t -> Cfg.block -> bool
-(** True when the block's final instructions are [Leave] followed by an
-    unconditional jump — the stack-tear-down tail-call signal (paper
-    Section 2.1, heuristic 3). *)

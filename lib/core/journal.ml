@@ -268,7 +268,6 @@ type dbuf = { mutable pending : (int * op) list }
 type writer = {
   w_chan : out_channel;
   w_seq : int Atomic.t;
-  w_records : int Atomic.t;
   w_bufs : dbuf Thread_local.t;
 }
 
@@ -285,7 +284,6 @@ let create_writer ~path =
   {
     w_chan = ch;
     w_seq = Atomic.make 0;
-    w_records = Atomic.make 0;
     w_bufs = Thread_local.create (fun () -> { pending = [] });
   }
 
@@ -305,8 +303,7 @@ let emit w op =
 let write_one w ~seq op =
   let b = Buffer.create 48 in
   append_record b ~seq op;
-  output_string w.w_chan (Buffer.contents b);
-  Atomic.incr w.w_records
+  output_string w.w_chan (Buffer.contents b)
 
 let flush w ~round =
   let items =
@@ -321,7 +318,6 @@ let flush w ~round =
   write_one w ~seq:cseq (Op_commit round);
   Stdlib.flush w.w_chan
 
-let records_written w = Atomic.get w.w_records
 let last_seq w = Atomic.get w.w_seq - 1
 let close w = close_out w.w_chan
 

@@ -87,8 +87,6 @@ val flush : writer -> round:int -> unit
     in seq order, terminate with [Op_commit round], flush the channel.
     Must only run while no emitter is active (round barrier). *)
 
-val records_written : writer -> int
-
 val last_seq : writer -> int
 (** Highest sequence number assigned so far ([-1] if none). At a quiescent
     point this is the checkpoint's sequence floor. *)

@@ -14,7 +14,7 @@ val decode_cu : Bytes.t -> Types.cu
     or truncation). *)
 
 val cu_blobs : Bytes.t -> Bytes.t array
-(** Slice a [.debug] section into its CU blobs (the serial index scan). *)
+(** Split a [.debug] section into its CU blobs (the serial index scan). *)
 
 val decode : ?pool:Pbca_concurrent.Task_pool.t -> Bytes.t -> Types.t
 (** Full decode; CU blobs are decoded with [pool] when given. *)

@@ -208,22 +208,9 @@ let run ?config ~pool bytes =
 
 let run_image ?config ~pool image = run_phases ?config ~pool image None
 
-let phase_wall r sub =
+let phase_wall r name =
   List.fold_left
-    (fun acc p ->
-      if
-        String.length p.ph_name >= String.length sub
-        && String.exists (fun _ -> true) p.ph_name
-        &&
-        (* substring containment *)
-        let rec find i =
-          if i + String.length sub > String.length p.ph_name then false
-          else if String.sub p.ph_name i (String.length sub) = sub then true
-          else find (i + 1)
-        in
-        find 0
-      then acc +. p.ph_wall
-      else acc)
+    (fun acc p -> if p.ph_name = name then acc +. p.ph_wall else acc)
     0.0 r.phases
 
 let total_wall r = List.fold_left (fun acc p -> acc +. p.ph_wall) 0.0 r.phases

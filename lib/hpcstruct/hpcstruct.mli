@@ -48,6 +48,6 @@ val run_image :
 (** Like {!run} but skips phase 1 (the image is already loaded). *)
 
 val phase_wall : result -> string -> float
-(** Total wall time of phases whose name contains the given substring. *)
+(** Total wall time of the phases with the given name. *)
 
 val total_wall : result -> float

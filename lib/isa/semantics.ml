@@ -80,9 +80,6 @@ let reads_mem (i : Insn.t) =
   | Load _ | Load_idx _ | Pop _ | Leave | Ret -> true
   | _ -> false
 
-let writes_mem (i : Insn.t) =
-  match i with Store _ | Push _ | Call _ | Call_ind _ | Enter _ -> true | _ -> false
-
 let sp_delta (i : Insn.t) =
   match i with
   | Push _ -> Some (-8)

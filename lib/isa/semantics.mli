@@ -32,7 +32,6 @@ val uses : Insn.t -> Reg.Set.t
 (** Registers read. *)
 
 val reads_mem : Insn.t -> bool
-val writes_mem : Insn.t -> bool
 
 val sp_delta : Insn.t -> int option
 (** Effect on the stack pointer in bytes ([Push] = -8, [Pop] = +8, [Enter n]

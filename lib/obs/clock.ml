@@ -28,7 +28,6 @@ let now () =
   match Atomic.get source with Monotonic -> real_now () | Fake f -> f ()
 
 let elapsed t0 = now () -. t0
-let use_fake f = Atomic.set source (Fake f)
 let use_monotonic () = Atomic.set source Monotonic
 let is_fake () = match Atomic.get source with Fake _ -> true | Monotonic -> false
 

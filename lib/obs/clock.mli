@@ -22,9 +22,6 @@ val elapsed : float -> float
 (** [elapsed t0] is [now () -. t0]: the duration since an earlier
     [now] reading. *)
 
-val use_fake : (unit -> float) -> unit
-(** Install a deterministic source; [now] calls it from then on. *)
-
 val use_monotonic : unit -> unit
 (** Restore the real monotonic source. *)
 

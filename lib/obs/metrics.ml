@@ -99,7 +99,6 @@ let observe h v =
   gauge_add h.h_sum v
 
 let hist_count h = Atomic.get h.h_n
-let hist_sum h = Atomic.get h.h_sum
 
 (* ------------------------------------------------------------------ *)
 

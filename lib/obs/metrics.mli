@@ -42,7 +42,6 @@ val set : gauge -> float -> unit
 val value : gauge -> float
 val observe : histogram -> float -> unit
 val hist_count : histogram -> int
-val hist_sum : histogram -> float
 
 type value =
   | Counter of int

@@ -22,10 +22,8 @@ type config = {
   sc_read_timeout_s : float;
   sc_retries : int;
   sc_backoff_base_s : float;
-  sc_parse_threads : int;
   sc_default_deadline_ms : int;
   sc_analysis : Aconfig.t;
-  sc_rot_seed : int;
 }
 
 let default_config ~sock =
@@ -39,10 +37,8 @@ let default_config ~sock =
     sc_read_timeout_s = 2.0;
     sc_retries = 2;
     sc_backoff_base_s = 0.002;
-    sc_parse_threads = 1;
     sc_default_deadline_ms = 0;
     sc_analysis = Aconfig.default;
-    sc_rot_seed = 0x5eed;
   }
 
 type job = {
@@ -85,13 +81,12 @@ type t = {
   h_latency : Metrics.histogram;
   h_latency_hit : Metrics.histogram;
   h_latency_cold : Metrics.histogram;
-  rot_rng : Pbca_codegen.Rng.t;
+  rot_rng : Pbca_codegen.Rng.t;  (* fixed seed: injected cache rot is reproducible *)
   mutable acceptors : unit Domain.t array;
   mutable workers : unit Domain.t array;
 }
 
 let metrics t = t.metrics
-let sock_path t = t.cfg.sc_sock
 let draining t = Atomic.get t.draining
 let shutdown_requested t = Atomic.get t.shutdown_req
 
@@ -320,7 +315,7 @@ let serve_job t pool job =
 let worker_loop t =
   (* own pool per worker domain; threads:1 runs every analysis task
      inline on this domain (no nested domain spawns) *)
-  let pool = Task_pool.create ~threads:t.cfg.sc_parse_threads in
+  let pool = Task_pool.create ~threads:1 in
   let rec loop () =
     match Channel.recv t.queue with
     | None -> ()
@@ -505,7 +500,7 @@ let start ?(trace = Trace.disabled) cfg =
       h_latency = Metrics.histogram metrics "serve_latency_s";
       h_latency_hit = Metrics.histogram metrics "serve_latency_hit_s";
       h_latency_cold = Metrics.histogram metrics "serve_latency_cold_s";
-      rot_rng = Pbca_codegen.Rng.create cfg.sc_rot_seed;
+      rot_rng = Pbca_codegen.Rng.create 0x5eed;
       acceptors = [||];
       workers = [||];
     }

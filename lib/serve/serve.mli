@@ -23,7 +23,7 @@
 
     Topology on the inside: [sc_acceptors] domains select/accept and do
     admission; [sc_workers] domains drain the queue, each with its own
-    {!Pbca_concurrent.Task_pool} of [sc_parse_threads] threads.
+    one-thread {!Pbca_concurrent.Task_pool}.
 
     Service-layer fault injection ({!Pbca_concurrent.Fault.service}) is
     consulted once per admitted request: worker kills, torn replies,
@@ -39,10 +39,8 @@ type config = {
   sc_read_timeout_s : float;  (** stalled-client eviction timeout *)
   sc_retries : int;  (** supervisor restart budget per request *)
   sc_backoff_base_s : float;
-  sc_parse_threads : int;
   sc_default_deadline_ms : int;  (** for requests that carry none; 0 = none *)
   sc_analysis : Pbca_core.Config.t;  (** PR3 budget/deadline base config *)
-  sc_rot_seed : int;  (** rng seed for injected cache rot *)
 }
 
 val default_config : sock:string -> config
@@ -70,7 +68,6 @@ val metrics : t -> Pbca_obs.Metrics.t
     [serve_torn_replies], the [serve_queue_depth] gauge and the
     wait/latency histograms (overall, cache-hit, cold). *)
 
-val sock_path : t -> string
 val draining : t -> bool
 
 val shutdown_requested : t -> bool

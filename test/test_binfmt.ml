@@ -178,3 +178,93 @@ let suite =
     quick "image: bad magic" test_image_bad_magic;
     quick "image: section lookups" test_image_lookups;
   ]
+
+(* Listing 6 with shared secondary keys: distinct symbols that collide in
+   a secondary index (overloads share a pretty name, aliases an offset,
+   statics a mangled and typed name) are pushed onto one entry by
+   concurrent master winners; none may be lost or doubled. *)
+let test_symtab_shared_keys () =
+  let sigs = Mangle.[ [ Int ]; [ Float ]; [ Ptr ]; [ Int; Ptr ]; [ Ptr; Float ] ] in
+  let overloads =
+    List.concat
+      (List.init 8 (fun k ->
+           List.mapi
+             (fun j args ->
+               Symbol.make
+                 (Mangle.mangle (Printf.sprintf "fn%d" k) args)
+                 (0x1000 + (16 * ((k * 5) + j))))
+             sigs))
+  in
+  let aliases =
+    List.concat
+      (List.init 8 (fun g ->
+           let off = 0x8000 + (16 * g) in
+           [
+             Symbol.make (Printf.sprintf "alias%d_a" g) off;
+             Symbol.make (Printf.sprintf "alias%d_b" g) off;
+             Symbol.make (Mangle.mangle "alias" [ Int ]) off;
+             Symbol.make (Mangle.mangle "alias" [ Float ]) off;
+           ]))
+  in
+  let statics = List.init 8 (fun i -> Symbol.make "helper" (0xa000 + (16 * i))) in
+  let all = Array.of_list (overloads @ aliases @ statics) in
+  let n = Array.length all in
+  (* domain d skips every fourth symbol from its own phase and walks the
+     rest from its own rotation, odd domains backward *)
+  let list_of d =
+    let xs =
+      List.filter_map
+        (fun i ->
+          let i = (i + (d * 7)) mod n in
+          if (i + d) mod 4 = 0 then None else Some all.(i))
+        (List.init n Fun.id)
+    in
+    if d mod 2 = 1 then List.rev xs else xs
+  in
+  let keys =
+    [
+      ("offset", (fun (s : Symbol.t) -> string_of_int s.offset), fun t s ->
+        Symtab.by_offset t s.Symbol.offset);
+      ("pretty", Symbol.pretty, fun t s -> Symtab.by_pretty t (Symbol.pretty s));
+      ("typed", Symbol.typed, fun t s -> Symtab.by_typed t (Symbol.typed s));
+      ("mangled", (fun (s : Symbol.t) -> s.mangled), fun t s ->
+        Symtab.by_mangled t s.Symbol.mangled);
+    ]
+  in
+  for round = 1 to 10 do
+    let t = Symtab.create () in
+    let ds =
+      List.init 4 (fun d ->
+          let syms = list_of d in
+          Domain.spawn (fun () -> List.iter (fun s -> ignore (Symtab.insert t s)) syms))
+    in
+    List.iter Domain.join ds;
+    Alcotest.(check int) (Printf.sprintf "round %d: length" round) n (Symtab.length t);
+    Array.iter
+      (fun (s : Symbol.t) ->
+        List.iter
+          (fun (index, key, lookup) ->
+            let entry = lookup t s in
+            let sharers =
+              Array.fold_left
+                (fun acc x -> if key x = key s then acc + 1 else acc)
+                0 all
+            in
+            Alcotest.(check int)
+              (Printf.sprintf "round %d: %s once in the %s index" round
+                 s.mangled index)
+              1
+              (List.length (List.filter (Symbol.equal s) entry));
+            Alcotest.(check int)
+              (Printf.sprintf "round %d: %s entry of %s" round index s.mangled)
+              sharers (List.length entry))
+          keys)
+      all
+  done
+
+let suite =
+  suite
+  @ [
+      quick "symtab: concurrent winners sharing secondary keys"
+        test_symtab_shared_keys;
+    ]

@@ -647,12 +647,6 @@ let test_parallel_for_reduce () =
   in
   Alcotest.(check int) "sum 1..1000" 500500 sum
 
-let test_parallel_iter_list () =
-  let pool = TP.create ~threads:3 in
-  let acc = Bag.create () in
-  TP.parallel_iter_list pool [ "a"; "b"; "c"; "d" ] (fun s -> Bag.add acc s);
-  Alcotest.(check int) "all visited" 4 (Bag.length acc)
-
 (* ------------------------------- channel ------------------------------ *)
 
 let test_channel_fifo_sequential () =
@@ -868,7 +862,6 @@ let suite =
     quick "parallel_for: exact coverage" test_parallel_for_coverage;
     quick "parallel_for: empty ranges" test_parallel_for_empty;
     quick "parallel_for_reduce: sum" test_parallel_for_reduce;
-    quick "parallel_iter_list" test_parallel_iter_list;
     quick "channel: fifo sequential" test_channel_fifo_sequential;
     quick "channel: bounded blocking" test_channel_bounded_blocking;
     quick "channel: mpmc across domains" test_channel_mpmc;

@@ -463,7 +463,6 @@ let test_config_variants_same_cfg () =
     [
       { Pbca_core.Config.default with decode_cache = false };
       { Pbca_core.Config.default with eager_noreturn = false };
-      { Pbca_core.Config.default with shards = 4 };
     ]
   in
   List.iter

@@ -1,14 +1,12 @@
-(* Tests for the tooling layer: DOT export, stripping, call graphs, the
-   general slicer — and the cross-validation of the pure operation algebra
-   against the production parser. *)
+(* Tests for the tooling layer: DOT export, stripping — and the
+   cross-validation of the pure operation algebra against the production
+   parser. *)
 
 open Tutil
 module Cfg = Pbca_core.Cfg
 module Spec = Pbca_codegen.Spec
 module Insn = Pbca_isa.Insn
 module Reg = Pbca_isa.Reg
-module CG = Pbca_analysis.Callgraph
-module Slice = Pbca_analysis.Slice
 
 (* ------------------------------- dot ---------------------------------- *)
 
@@ -65,21 +63,33 @@ let test_strip_discovery () =
         true
         (Pbca_core.Addr_map.mem full.Cfg.funcs f.f_entry_addr))
     (Cfg.funcs_list stripped);
-  (* functions reachable from main in the full call graph are recovered *)
-  let cg = CG.build full in
-  (match CG.find cg r.image.Pbca_binfmt.Image.entry with
-  | Some root ->
-    let reach = CG.reachable_from cg root in
-    Array.iteri
-      (fun i ok ->
-        if ok then
-          let f = cg.CG.funcs.(i) in
-          Alcotest.(check bool)
-            (f.Cfg.f_name ^ " recovered in stripped parse")
-            true
-            (Pbca_core.Addr_map.mem stripped.Cfg.funcs f.Cfg.f_entry_addr))
-      reach
-  | None -> Alcotest.fail "entry not in call graph")
+  (* functions reachable from main through calls and tail calls in the full
+     parse are recovered *)
+  let rec reach seen (f : Cfg.func) =
+    if List.mem f.f_entry_addr seen then seen
+    else
+      List.fold_left
+        (fun seen (b : Cfg.block) ->
+          List.fold_left
+            (fun seen (e : Cfg.edge) ->
+              match
+                (e.e_kind, Pbca_core.Addr_map.find full.Cfg.funcs e.e_dst.b_start)
+              with
+              | (Cfg.Call | Cfg.Tail_call), Some callee -> reach seen callee
+              | _ -> seen)
+            seen (Cfg.out_edges b))
+        (f.f_entry_addr :: seen) f.f_blocks
+  in
+  match Pbca_core.Addr_map.find full.Cfg.funcs r.image.Pbca_binfmt.Image.entry with
+  | Some main ->
+    List.iter
+      (fun entry ->
+        Alcotest.(check bool)
+          (Printf.sprintf "0x%x recovered in stripped parse" entry)
+          true
+          (Pbca_core.Addr_map.mem stripped.Cfg.funcs entry))
+      (reach [] main)
+  | None -> Alcotest.fail "entry is not a function"
 
 let test_strip_default_keeps_objects () =
   let r = Pbca_codegen.Emit.generate { Profile.default with n_funcs = 10 } in
@@ -88,146 +98,6 @@ let test_strip_default_keeps_objects () =
     (List.length (Pbca_binfmt.Symtab.functions s.Pbca_binfmt.Image.symtab));
   Alcotest.(check bool) "object symbols kept" true
     (Pbca_binfmt.Symtab.length s.Pbca_binfmt.Image.symtab > 0)
-
-(* ---------------------------- call graph ------------------------------ *)
-
-let test_callgraph_chain () =
-  let f name callee next =
-    mk_fspec ~name
-      [ blk (Spec.T_call callee); blk ~body:[ Insn.Nop ] next ]
-  in
-  let image =
-    (emit_spec
-       (mk_spec
-          [
-            f "a" 1 Spec.T_ret;
-            f "b" 2 Spec.T_ret;
-            mk_fspec ~name:"c" [ blk Spec.T_ret ];
-          ]))
-      .image
-  in
-  let g = parse_serial image in
-  let cg = CG.build g in
-  Alcotest.(check int) "three nodes" 3 (CG.n_funcs cg);
-  let idx name =
-    match CG.find cg (get_func g name).Cfg.f_entry_addr with
-    | Some i -> i
-    | None -> Alcotest.failf "%s not in callgraph" name
-  in
-  let a = idx "a" and b = idx "b" and c = idx "c" in
-  Alcotest.(check (list int)) "a calls b" [ b ] cg.CG.callees.(a);
-  Alcotest.(check (list int)) "b calls c" [ c ] cg.CG.callees.(b);
-  Alcotest.(check (list int)) "c is a leaf" [] cg.CG.callees.(c);
-  Alcotest.(check (list int)) "c's callers" [ b ] cg.CG.callers.(c);
-  let reach = CG.reachable_from cg a in
-  Alcotest.(check bool) "c reachable from a" true reach.(c);
-  let depth = CG.depth_from cg a in
-  Alcotest.(check int) "depth of c" 2 depth.(c);
-  Alcotest.(check (list int)) "leaves" [ c ] (CG.leaf_functions cg)
-
-let test_callgraph_scc () =
-  (* mutual recursion via calls: one SCC of size two *)
-  let f name callee =
-    mk_fspec ~name [ blk (Spec.T_call callee); blk Spec.T_ret ]
-  in
-  let image = (emit_spec (mk_spec [ f "x" 1; f "y" 0 ])).image in
-  let g = parse_serial image in
-  let cg = CG.build g in
-  let sccs = CG.sccs cg in
-  Alcotest.(check int) "one scc" 1 (List.length sccs);
-  Alcotest.(check int) "of size two" 2 (List.length (List.hd sccs))
-
-let test_callgraph_tail_edges () =
-  let callee = mk_fspec ~name:"t" ~frame:false [ blk Spec.T_ret ] in
-  let caller = mk_fspec ~name:"s" [ blk (Spec.T_tailcall 1) ] in
-  let image = (emit_spec (mk_spec [ caller; callee ])).image in
-  let g = parse_serial image in
-  let cg = CG.build g in
-  Alcotest.(check int) "one tail edge" 1 (List.length cg.CG.tail_edges)
-
-(* ------------------------------ slicing ------------------------------- *)
-
-let test_slice_within_block () =
-  (* r0 <- r1 <- const; the unrelated r5 write stays out of the slice *)
-  let f =
-    mk_fspec ~name:"sl" ~frame:false
-      [
-        blk
-          ~body:
-            [
-              Insn.Mov_ri (Reg.r1, 7);
-              Insn.Mov_ri (Reg.r5, 9);
-              Insn.Mov_rr (Reg.r0, Reg.r1);
-            ]
-          Spec.T_ret;
-      ]
-  in
-  let image = (emit_spec (mk_spec [ f ])).image in
-  let g = parse_serial image in
-  let fv = Pbca_analysis.Func_view.make g (get_func g "sl") in
-  (* criterion: r0 just before the ret *)
-  let insns = Pbca_analysis.Func_view.insns g fv 0 in
-  let ret_addr, _, _ = List.nth insns (List.length insns - 1) in
-  let crit = { Slice.at = ret_addr; block = 0; regs = Reg.Set.of_list [ Reg.r0 ] } in
-  let s = Slice.backward g fv crit in
-  Alcotest.(check int) "two instructions in the slice" 2
-    (List.length s.Slice.insns);
-  Alcotest.(check bool) "complete" true s.Slice.complete;
-  Alcotest.(check bool) "r5 write excluded" true
-    (List.for_all
-       (fun (_, i) -> match i with Insn.Mov_ri (r, 9) -> Reg.to_int r <> 5 | _ -> true)
-       s.Slice.insns)
-
-let test_slice_across_blocks () =
-  let f =
-    mk_fspec ~name:"sx" ~frame:false
-      [
-        blk ~body:[ Insn.Mov_ri (Reg.r2, 3) ] (Spec.T_jmp 1);
-        blk ~body:[ Insn.Mov_rr (Reg.r3, Reg.r2) ] Spec.T_ret;
-      ]
-  in
-  let image = (emit_spec (mk_spec [ f ])).image in
-  let g = parse_serial image in
-  let fv = Pbca_analysis.Func_view.make g (get_func g "sx") in
-  let n = Pbca_analysis.Func_view.n_blocks fv in
-  let last = n - 1 in
-  let insns = Pbca_analysis.Func_view.insns g fv last in
-  let ret_addr, _, _ = List.nth insns (List.length insns - 1) in
-  let crit =
-    { Slice.at = ret_addr; block = last; regs = Reg.Set.of_list [ Reg.r3 ] }
-  in
-  let s = Slice.backward g fv crit in
-  Alcotest.(check int) "both defs collected" 2 (List.length s.Slice.insns);
-  Alcotest.(check bool) "complete" true s.Slice.complete
-
-let test_slice_memory_incomplete () =
-  let f =
-    mk_fspec ~name:"sm" ~frame:false
-      [
-        blk
-          ~body:[ Insn.Load (Reg.r1, Reg.of_int 6, 0); Insn.Mov_rr (Reg.r0, Reg.r1) ]
-          Spec.T_ret;
-      ]
-  in
-  let image = (emit_spec (mk_spec [ f ])).image in
-  let g = parse_serial image in
-  let fv = Pbca_analysis.Func_view.make g (get_func g "sm") in
-  let insns = Pbca_analysis.Func_view.insns g fv 0 in
-  let ret_addr, _, _ = List.nth insns (List.length insns - 1) in
-  let crit = { Slice.at = ret_addr; block = 0; regs = Reg.Set.of_list [ Reg.r0 ] } in
-  let s = Slice.backward g fv crit in
-  Alcotest.(check bool) "memory load marks incompleteness" false
-    s.Slice.complete
-
-let test_slice_of_terminator () =
-  let image = (emit_spec (mk_spec [ diamond_fun () ])).image in
-  let g = parse_serial image in
-  let fv = Pbca_analysis.Func_view.make g (get_func g "diamond") in
-  (* the entry's Jcc uses no registers; a Jmp_ind would *)
-  match Slice.criterion_of_terminator g fv 0 with
-  | Some crit ->
-    Alcotest.(check bool) "criterion built" true (crit.Slice.block = 0)
-  | None -> Alcotest.fail "entry block should have a terminator"
 
 (* ------------------ algebra vs. production parser --------------------- *)
 
@@ -282,13 +152,6 @@ let suite =
     quick "dot: whole program" test_dot_graph;
     quick "strip: discovery through calls" test_strip_discovery;
     quick "strip: default predicate" test_strip_default_keeps_objects;
-    quick "callgraph: chain" test_callgraph_chain;
-    quick "callgraph: scc of mutual recursion" test_callgraph_scc;
-    quick "callgraph: tail edges" test_callgraph_tail_edges;
-    quick "slice: within a block" test_slice_within_block;
-    quick "slice: across blocks" test_slice_across_blocks;
-    quick "slice: memory loads mark incompleteness" test_slice_memory_incomplete;
-    quick "slice: terminator criterion" test_slice_of_terminator;
     test_ops_cross_validation;
   ]
 
