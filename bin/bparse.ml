@@ -65,7 +65,11 @@ let report_cfg ~opts ~dt ~old path g =
   Format.printf "parsed in %.3fs (parallel, %d threads)@." dt opts.threads;
   (match old with
   | Some (old_path, old_image) ->
-    let old_g = Pbca_core.Serial.parse_and_finalize old_image in
+    (* the older build under the same config ([--gap] included), so the
+       diff shows what changed between the images, not between configs *)
+    let old_g =
+      Pbca_core.Serial.parse_and_finalize ~config:g.Cfg.config old_image
+    in
     Format.printf "diff vs %s:@ %a@." old_path Pbca_core.Cfg_diff.pp
       (Pbca_core.Cfg_diff.diff old_g g)
   | None -> ());

@@ -71,8 +71,6 @@ module Make (H : Hashtbl.HashedType) = struct
   let length t =
     Array.fold_left (fun acc s -> acc + with_shard s T.length) 0 t.shards
 
-  let clear t = Array.iter (fun s -> with_shard s T.reset) t.shards
-
   let iter f t =
     Array.iter (fun s -> with_shard s (fun tbl -> T.iter f tbl)) t.shards
 

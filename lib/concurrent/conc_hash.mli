@@ -44,7 +44,6 @@ module Make (H : Hashtbl.HashedType) : sig
   val remove : 'a t -> key -> 'a option
 
   val length : 'a t -> int
-  val clear : 'a t -> unit
 
   (** Whole-table iteration. These lock one shard at a time and therefore see
       a consistent snapshot only when no writers are active; they are meant

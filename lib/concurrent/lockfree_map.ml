@@ -31,6 +31,21 @@ module Make (H : Hashtbl.HashedType) = struct
     let n = next_pow2 (max 1 n) in
     { buckets = Array.init n (fun _ -> Atomic.make (Alive [])); mask = n - 1 }
 
+  (* The doubled table of a resize. [Array.init] hands [Array.make] a
+     freshly allocated first cell, and the runtime meets a large array
+     with a young initial value by forcing a minor collection, which
+     promotes the caller's whole working set early — once per doubling of
+     every growing map. Starting from a cell of [old], which a minor
+     collection has usually promoted by now, skips that; every slot is then
+     replaced by a fresh cell. *)
+  let grown_table old =
+    let n = 2 * Array.length old.buckets in
+    let buckets = Array.make n old.buckets.(0) in
+    for i = 0 to n - 1 do
+      buckets.(i) <- Atomic.make (Alive [])
+    done;
+    { buckets; mask = n - 1 }
+
   let n_stripes = 64
 
   let create ?(shards = 64) ?counters () =
@@ -93,7 +108,7 @@ module Make (H : Hashtbl.HashedType) = struct
     if Atomic.compare_and_set t.resizing false true then begin
       if Atomic.get t.tbl == old then begin
         ignore (Atomic.fetch_and_add t.c.Contention.resizes 1);
-        let nt = mk_table (2 * Array.length old.buckets) in
+        let nt = grown_table old in
         Array.iter
           (fun cell ->
             List.iter
@@ -194,12 +209,18 @@ module Make (H : Hashtbl.HashedType) = struct
      exactly once; its result is then applied with a CAS retry loop, which
      only re-reads the bucket to merge in concurrent changes to *other*
      keys. Mixing [update] with concurrent non-[update] writes to the same
-     key is not supported (see the .mli). *)
+     key is not supported (see the .mli). A binding it adds counts toward
+     the load factor like any other write; the table grows once the stripe
+     is released, so a map written only through [update] (the CFG's
+     [ends]) keeps short chains too. *)
   let update t k f =
     let m = t.stripes.(H.hash k land (n_stripes - 1)) in
+    let added = ref false in
     Mutex.lock m;
     Fun.protect
-      ~finally:(fun () -> Mutex.unlock m)
+      ~finally:(fun () ->
+        Mutex.unlock m;
+        if !added then maybe_resize t)
       (fun () ->
         let tbl0 = Atomic.get t.tbl in
         let cur_v =
@@ -229,7 +250,8 @@ module Make (H : Hashtbl.HashedType) = struct
             | None, None -> () (* no binding before or after: nothing to do *)
             | _ ->
               if Atomic.compare_and_set cell cur (Alive nl) then begin
-                if delta <> 0 then ignore (Atomic.fetch_and_add t.size delta)
+                if delta <> 0 then ignore (Atomic.fetch_and_add t.size delta);
+                added := delta > 0
               end
               else begin
                 ignore (Atomic.fetch_and_add t.c.Contention.cas_retries 1);
@@ -240,10 +262,6 @@ module Make (H : Hashtbl.HashedType) = struct
         r)
 
   let length t = Atomic.get t.size
-
-  let clear t =
-    Atomic.set t.tbl (mk_table 64);
-    Atomic.set t.size 0
 
   let snapshot t =
     Array.map

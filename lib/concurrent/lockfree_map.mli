@@ -20,7 +20,9 @@
       bucket to a [Frozen] copy (readers still read frozen buckets —
       reads remain wait-free during migration; writers wait), rehashes
       into a table of twice the capacity and publishes it with one atomic
-      store.
+      store. Every write that adds a binding, [update] included, grows
+      the table once it holds more bindings than buckets, so chains stay
+      O(1) long whichever operation filled the map.
     - [update] — the accessor of paper Listing 5, needed only by the
       [ends] map's split protocol — is the single locking operation: a
       striped mutex serializes updates of the same key, the callback runs
@@ -66,15 +68,14 @@ module Make (H : Hashtbl.HashedType) : sig
 
   val update : 'a t -> key -> ('a option -> 'a option * 'r) -> 'r
   (** Entry-atomic read-modify-write under a striped lock; the callback
-      runs exactly once. See the caveats above. *)
+      runs exactly once. When it adds a binding and the map then holds
+      more bindings than buckets, the table grows after the stripe is
+      released, as for the lock-free writes. See the caveats above. *)
 
   val remove : 'a t -> key -> 'a option
 
   val length : 'a t -> int
   (** O(1): maintained counter, exact when writers use this interface. *)
-
-  val clear : 'a t -> unit
-  (** Quiescent use only. *)
 
   (** Whole-table iteration over an atomic snapshot of the bucket array;
       consistent only when no writers are active (the quiescent phases

@@ -56,21 +56,28 @@ and fire_fallthrough ctx ~dep ~call_end =
         spawn_traced ~deps ctx "walk" (fun () -> process_block ctx f owner))
       (Atomic.get owner.Cfg.b_watchers)
 
+(* Most calls name a function that already exists (every call site and
+   tail call of a known callee): one wait-free lookup answers them. A
+   function's entry block is created before the function, so a hit has
+   nothing left to spawn; only a miss pays for the symbol-table name. *)
 and ensure_func ctx addr =
-  let b, bcreated = Cfg.find_or_create_block ctx.g addr in
-  if bcreated then
-    spawn_traced ~addr ctx "parse" (fun () -> parse_block ctx b);
-  let f, created =
-    Cfg.find_or_create_func ctx.g ~name:(func_name ctx addr)
-      ~from_symtab:(Addr_map.mem ctx.g.Cfg.static_entries addr)
-      addr
-  in
-  if created then begin
-    Noreturn.seed_status ctx.g f;
-    let entry = f.Cfg.f_entry in
-    spawn_traced ctx "walk" (fun () -> process_block ctx f entry)
-  end;
-  f
+  match Addr_map.find ctx.g.Cfg.funcs addr with
+  | Some f -> f
+  | None ->
+    let b, bcreated = Cfg.find_or_create_block ctx.g addr in
+    if bcreated then
+      spawn_traced ~addr ctx "parse" (fun () -> parse_block ctx b);
+    let f, created =
+      Cfg.find_or_create_func ctx.g ~name:(func_name ctx addr)
+        ~from_symtab:(Addr_map.mem ctx.g.Cfg.static_entries addr)
+        addr
+    in
+    if created then begin
+      Noreturn.seed_status ctx.g f;
+      let entry = f.Cfg.f_entry in
+      spawn_traced ctx "walk" (fun () -> process_block ctx f entry)
+    end;
+    f
 
 (* ------------------------------------------------------------------ *)
 (* Function traversal (Listing 3): walk the evolving graph from the
@@ -113,12 +120,7 @@ and process_block_loop ctx (f : Cfg.func) (b0 : Cfg.block) =
                  the callee here (idempotent) rather than drop the
                  subscription: a dropped one leaves the caller Unset, and
                  [Noreturn.resolve_unset] would then make it non-returning. *)
-              let dst = e.e_dst.Cfg.b_start in
-              let callee =
-                match Addr_map.find g.Cfg.funcs dst with
-                | Some callee -> callee
-                | None -> ensure_func ctx dst
-              in
+              let callee = ensure_func ctx e.e_dst.Cfg.b_start in
               Noreturn.subscribe_tail_status g ~caller:f ~callee ~fire
             | Cfg.Fallthrough | Cfg.Jump | Cfg.Cond_taken | Cfg.Cond_fall
             | Cfg.Call_fallthrough | Cfg.Indirect ->

@@ -21,7 +21,21 @@ type t = {
   funcs : func_sum list;
 }
 
+(* The order polymorphic [compare] gives these records (fields in
+   declaration order, constructors by declaration index, which
+   [edge_kind_code] follows), so fingerprints do not depend on which of
+   the two sorted the list. *)
+let compare_edge_sum a b =
+  match Int.compare a.es_src b.es_src with
+  | 0 -> (
+    match Int.compare a.es_dst b.es_dst with
+    | 0 ->
+      Int.compare (Cfg.edge_kind_code a.es_kind) (Cfg.edge_kind_code b.es_kind)
+    | c -> c)
+  | c -> c
+
 let of_cfg g =
+  let all_blocks = Cfg.blocks_list g and all_funcs = Cfg.funcs_list g in
   (* Block confidence is derived, not stored: the strongest (lowest-code)
      confidence among the functions that own the block after boundary
      assignment. Blocks not owned by any function (pre-finalize, or
@@ -38,7 +52,7 @@ let of_cfg g =
           | Some c' when c' <= c -> ()
           | _ -> Hashtbl.replace block_conf s c)
         f.Cfg.f_blocks)
-    (Cfg.funcs_list g);
+    all_funcs;
   let bconf (b : Cfg.block) =
     match Hashtbl.find_opt block_conf b.Cfg.b_start with
     | Some c -> c
@@ -53,7 +67,7 @@ let of_cfg g =
           bs_insns = Atomic.get b.Cfg.b_ninsns;
           bs_conf = bconf b;
         })
-      (Cfg.blocks_list g)
+      all_blocks
   in
   let edges =
     List.concat_map
@@ -66,8 +80,8 @@ let of_cfg g =
               es_kind = e.e_kind;
             })
           (Cfg.out_edges b))
-      (Cfg.blocks_list g)
-    |> List.sort_uniq compare
+      all_blocks
+    |> List.sort_uniq compare_edge_sum
   in
   let funcs =
     List.map
@@ -77,11 +91,11 @@ let of_cfg g =
           fs_name = f.f_name;
           fs_returns = Atomic.get f.Cfg.f_ret = Cfg.Returns;
           fs_blocks =
-            List.sort compare
+            List.sort Int.compare
               (List.map (fun (b : Cfg.block) -> b.Cfg.b_start) f.Cfg.f_blocks);
           fs_conf = fconf f;
         })
-      (Cfg.funcs_list g)
+      all_funcs
   in
   { blocks; edges; funcs }
 

@@ -224,6 +224,54 @@ let test_lmap_model =
       List.for_all (fun (k, _) -> LMap.find m k = Hashtbl.find_opt h k) ops
       && LMap.length m = Hashtbl.length h)
 
+(* [update] is how the parser registers every block end, and nothing else
+   writes that map: a binding it adds must grow the table like the
+   lock-free writes do, or every later lookup walks one long chain. *)
+let test_lmap_update_grows () =
+  let c = Contention.create () in
+  let m = LMap.create ~shards:16 ~counters:c () in
+  let n = 20_000 in
+  for k = 0 to n - 1 do
+    LMap.update m k (fun _ -> (Some k, ()))
+  done;
+  let probes0 = Atomic.get c.Contention.probes in
+  for k = 0 to n - 1 do
+    if LMap.find m k <> Some k then Alcotest.failf "lost key %d" k
+  done;
+  let probes = Atomic.get c.Contention.probes - probes0 in
+  Alcotest.(check bool) "resized" true (Atomic.get c.Contention.resizes > 0);
+  if probes >= n then
+    Alcotest.failf "%d collision probes over %d finds: chains grew with the map"
+      probes n
+
+(* Updates racing the resizes they trigger: a writer that finds its bucket
+   frozen must wait for the new table and apply there, and same-key
+   updates stay serialized across the switch. *)
+let test_lmap_update_across_resizes () =
+  let c = Contention.create () in
+  let m = LMap.create ~shards:16 ~counters:c () in
+  let per = 5_000 and domains = 4 in
+  ignore
+    (in_domains domains (fun d ->
+         let lo = d * per in
+         for k = lo to lo + per - 1 do
+           LMap.update m k (fun _ -> (Some k, ()))
+         done;
+         for k = lo to lo + per - 1 do
+           LMap.update m k (fun cur ->
+               match cur with
+               | Some v -> (Some (v + 1), ())
+               | None -> Alcotest.failf "key %d lost before its bump" k)
+         done));
+  Alcotest.(check int) "length" (domains * per) (LMap.length m);
+  for k = 0 to (domains * per) - 1 do
+    match LMap.find m k with
+    | Some v when v = k + 1 -> ()
+    | Some v -> Alcotest.failf "key %d holds %d, want %d" k v (k + 1)
+    | None -> Alcotest.failf "key %d lost" k
+  done;
+  Alcotest.(check bool) "resized" true (Atomic.get c.Contention.resizes > 0)
+
 (* Read-heavy traffic, the shape of the parser's address maps: lock-free
    reads must beat the mutex-sharded map they replaced. *)
 let test_lockfree_reads_beat_mutex () =
@@ -871,4 +919,7 @@ let suite =
     quick "barrier: cyclic phases" test_barrier_cyclic;
     quick "lockfree_map: reads beat the mutex-sharded map"
       test_lockfree_reads_beat_mutex;
+    quick "lockfree_map: update grows the table" test_lmap_update_grows;
+    quick "lockfree_map: concurrent updates across resizes lose nothing"
+      test_lmap_update_across_resizes;
   ]

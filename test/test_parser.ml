@@ -836,3 +836,43 @@ let test_determinism_at_scale =
       check_clean r.ground_truth (parse_parallel ~threads:6 r.image))
 
 let suite = suite @ [ test_determinism_at_scale ]
+
+(* ------------------- summary fingerprints across builds ------------------ *)
+
+(* Every other fingerprint check compares two parses made by one build, so
+   a change that reorders the summary or moves the CFG passes them all.
+   These literals pin the summaries of three generated images: a
+   coreutils-shaped member, a stripped member grown by gap parsing, and
+   the default profile, each parsed serially and at two domains. *)
+let test_fingerprints_pinned () =
+  let module Emit = Pbca_codegen.Emit in
+  let module Family = Pbca_codegen.Family in
+  let gap = { Pbca_core.Config.default with gap_parse = true } in
+  List.iter
+    (fun (name, config, (r : Emit.result), want) ->
+      List.iter
+        (fun threads ->
+          let pool = Pbca_concurrent.Task_pool.create ~threads in
+          let g = Pbca_core.Parallel.parse_and_finalize ?config ~pool r.image in
+          Alcotest.(check string)
+            (Printf.sprintf "%s, %d domains" name threads)
+            want
+            (Pbca_core.Summary.fingerprint (summary g)))
+        [ 1; 2 ])
+    [
+      ( "coreutils-like member",
+        None,
+        Emit.generate (Profile.coreutils_like 7),
+        "6833c852a455ee2e1a263eead54a2939" );
+      ( "stripped member under gap parsing",
+        Some gap,
+        Family.generate Family.Stripped 1,
+        "29c39e6e619ac8355e1327c44fde06ec" );
+      ( "default profile",
+        None,
+        Emit.generate Profile.default,
+        "5c9c558ef43daf74189c9140bab29e0b" );
+    ]
+
+let suite =
+  suite @ [ quick "fingerprints pinned across builds" test_fingerprints_pinned ]
